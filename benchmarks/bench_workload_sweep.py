@@ -7,13 +7,13 @@ to ``BENCH_workload_sweep.json`` at the repo root:
 
 * ``backends`` -- wall-clock of the full sweep per backend, plus the
   determinism check: identical seed must produce *identical* ranked
-  results on ``serial`` and ``thread``;
+  results on ``serial`` and ``shard``;
 * ``shared_cache`` -- the same sweep twice on one shared
   :class:`~repro.flow.pipeline.StageCache`: the second pass is served
   stage results across jobs (the cheap way to re-rank a suite);
-* ``process_isolation`` -- a deliberately unpicklable job under
-  ``backend="process"`` must yield exactly one failed outcome instead
-  of sinking the sweep.
+* ``shard_isolation`` -- a deliberately unpicklable job on the shard
+  backend must yield exactly one failed outcome instead of sinking the
+  sweep.
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_workload_sweep.py``)
 or standalone for CI smoke checks::
@@ -38,6 +38,7 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / \
 
 DEFAULT_GRAPHS = 50
 SUITE_SEED = 7
+SHARD_WORKERS = 2
 
 
 class _UnpicklablePartitioner(GreedyPartitioner):
@@ -71,9 +72,10 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
     # 1. full sweep per backend + determinism across backends
     backends = {}
     views = {}
-    for backend, workers in (("serial", None), ("thread", 4)):
-        exploration, seconds = _explore(
-            graphs, BatchRunner(max_workers=workers, backend=backend))
+    for backend, runner in (("serial", BatchRunner(backend="serial")),
+                            ("shard", BatchRunner(shards=SHARD_WORKERS,
+                                                  max_workers=SHARD_WORKERS))):
+        exploration, seconds = _explore(graphs, runner)
         views[backend] = _ranked_view(exploration)
         backends[backend] = {
             "seconds": round(seconds, 6),
@@ -83,7 +85,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "feasible": len(exploration.feasible_points()),
             "pareto": len(exploration.pareto()),
         }
-    backends_agree = views["serial"] == views["thread"]
+    backends_agree = views["serial"] == views["shard"]
 
     # 2. shared-cache re-sweep: second pass over an unchanged suite.
     # snapshot() between the passes so the warm-pass hit rate is
@@ -97,14 +99,14 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
         sum(o.result.stage_runs.values())
         for o in warm_exploration.outcomes if o.ok)
 
-    # 3. process-backend isolation: one poisoned job in a tiny sweep
+    # 3. shard-backend isolation: one poisoned job in a tiny sweep
     # (graphs[-1] keeps this valid even for a --graphs 1 smoke run)
     arch = minimal_board()
     jobs = [FlowJob(graph=graphs[0], arch=arch,
                     partitioner=GreedyPartitioner(), label="good"),
             FlowJob(graph=graphs[-1], arch=arch,
                     partitioner=_UnpicklablePartitioner(), label="poison")]
-    outcomes = BatchRunner(max_workers=2, backend="process").run(jobs)
+    outcomes = BatchRunner(shards=2, max_workers=2).run(jobs)
 
     return {
         "suite": {
@@ -123,7 +125,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "cache": cache.stats(),
             "warm_cache": cache.stats(since=warm_window),
         },
-        "process_isolation": {
+        "shard_isolation": {
             "jobs": len(outcomes),
             "ok_outcomes": sum(o.ok for o in outcomes),
             "failed_outcomes": sum(not o.ok for o in outcomes),
@@ -136,7 +138,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
 def check(payload: dict) -> None:
     """The sweep-regression gate (shared by pytest and the CLI)."""
     assert payload["backends_agree"], \
-        "identical seed must rank identically on serial and thread backends"
+        "identical seed must rank identically on serial and shard backends"
     for backend, stats in payload["backends"].items():
         assert stats["failed"] == 0, f"{backend} sweep had failures"
         assert stats["ok"] == payload["suite"]["graphs"]
@@ -148,7 +150,7 @@ def check(payload: dict) -> None:
     assert warm_cache["misses"] == 0, "warm pass must never miss"
     assert warm_cache["hit_rate"] >= 0.99, \
         "warm-window hit rate must be ~1.0 (snapshot delta, not lifetime)"
-    isolation = payload["process_isolation"]
+    isolation = payload["shard_isolation"]
     assert isolation["failed_outcomes"] == 1
     assert isolation["ok_outcomes"] == isolation["jobs"] - 1
     assert "pickle" in isolation["poison_error"].lower()
@@ -170,8 +172,8 @@ def report(payload: dict) -> str:
                  f"{cache['warm_sweep_s'] * 1e3:.1f} ms "
                  f"({cache['warm_speedup']}x, warm hit rate "
                  f"{cache['warm_cache']['hit_rate']})")
-    isolation = payload["process_isolation"]
-    lines.append(f"  process isolation   : {isolation['failed_outcomes']} "
+    isolation = payload["shard_isolation"]
+    lines.append(f"  shard isolation     : {isolation['failed_outcomes']} "
                  f"poisoned job contained, sweep survived")
     return "\n".join(lines)
 

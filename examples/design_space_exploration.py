@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Design-space exploration: sweep partitioners x deadlines x boards.
 
-Fans the full COOL flow over every combination with the parallel
-:class:`~repro.flow.batch.BatchRunner`, then prints the implementations
-ranked on the classic co-design Pareto axes -- makespan, CLB area and
-communication memory -- with the Pareto-optimal ones marked ``*``.
+Fans the full COOL flow over every combination with a serial
+:class:`~repro.flow.batch.BatchRunner` on one shared stage cache, then
+prints the implementations ranked on the classic co-design Pareto axes
+-- makespan, CLB area and communication memory -- with the
+Pareto-optimal ones marked ``*``.
 The best implementation's full flow report is printed at the end.
 """
 
 from repro.apps import four_band_equalizer
-from repro.flow import BatchRunner, CoolFlow, DesignSpaceExplorer
+from repro.flow import BatchRunner, CoolFlow, DesignSpaceExplorer, StageCache
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
 
@@ -27,7 +28,9 @@ def main() -> None:
         architectures=[minimal_board(), cool_board()],
         partitioners=[GreedyPartitioner(), MilpPartitioner()],
         deadlines=deadlines,
-        runner=BatchRunner(max_workers=4),
+        # serial, not shards=: the winner's full flow report below needs
+        # the FlowResult, which only the in-process backend returns
+        runner=BatchRunner(backend="serial", stage_cache=StageCache()),
     )
     exploration = explorer.explore()
 

@@ -230,8 +230,8 @@ class _AdmissibleEnvironment(ProductEnvironment):
 #: and the guard don't-care harvester both need the same product in one
 #: flow run, and the BFS is the most expensive step for large designs.
 #: Automatons are immutable, so sharing the instance is safe; the lock
-#: keeps lookup/insert/evict atomic under the thread-backend
-#: BatchRunner (concurrent CoolFlow jobs hit this cache).
+#: keeps lookup/insert/evict atomic when CoolFlow runs on several
+#: threads of one process.
 _PRODUCT_CACHE: "OrderedDict[tuple[str, int], object]" = OrderedDict()
 _PRODUCT_CACHE_MAX = 8
 _PRODUCT_CACHE_LOCK = threading.Lock()
@@ -318,7 +318,7 @@ def stg_step_automaton(stg: Stg,
 #: same exploration in one flow run.  Only fully expanded systems are
 #: published (expansion drives a single scratch composition, so a
 #: half-explored system is not shareable); once expanded they are
-#: read-only and therefore safe across the thread-backend BatchRunner.
+#: read-only and therefore safe to share across threads.
 _STEP_SYSTEM_CACHE: "OrderedDict[str, LazyStepSystem]" = OrderedDict()
 _STEP_SYSTEM_CACHE_MAX = 8
 _STEP_SYSTEM_CACHE_LOCK = threading.Lock()

@@ -1,11 +1,11 @@
-"""Sharded map-reduce sweeps on a real multi-core backend.
+"""Sharded map-reduce sweeps: the parallel backend of ``BatchRunner``.
 
-The thread backend buys isolation, not speed (pure Python, GIL), and a
-naive process pool pickles a ~75 KB :class:`~repro.flow.cool.FlowResult`
-back per sub-second job -- so before this module a big sweep was serial
-in all but name.  Following the map-reduce decomposition of parallel
-controller synthesis (Alimguzhin et al., arXiv:1210.2276), a sweep here
-is three explicit stages:
+The flow is pure Python, so threads serialize on the GIL, and a plain
+process pool would pickle a ~75 KB :class:`~repro.flow.cool.FlowResult`
+back per sub-second job.  This module is the one parallel path instead:
+following the map-reduce decomposition of parallel controller synthesis
+(Alimguzhin et al., arXiv:1210.2276), a sweep here is three explicit
+stages, shipping compact payloads in and compact summaries out:
 
 **plan**
     :class:`ShardPlanner` partitions the suite into shards
@@ -24,8 +24,9 @@ is three explicit stages:
     :class:`~repro.flow.pipeline.StageCache`, initialized once and
     reused across every shard it executes.  With ``store_path=`` that
     cache becomes the L1 tier over a shared persistent store
-    (:mod:`repro.store`), so workers warm-start from previous runs and
-    share stage results with each other through the disk.  Workers return
+    (:mod:`repro.store`), reopened in each worker with the caller's size
+    bound and schema, so workers warm-start from previous runs and share
+    stage results with each other through the disk.  Workers return
     :class:`JobSummary` values (a :class:`~repro.flow.batch.DesignPoint`
     plus error/timing/cache evidence), never fat flow artifacts.
 
@@ -38,7 +39,7 @@ is three explicit stages:
     same Pareto front, same ranking order, for any shard count and any
     map order.
 
-Entry points: ``BatchRunner(backend="shard", shards=...)`` for the
+Entry points: ``BatchRunner(shards=...)`` for the
 streaming job API, :func:`map_reduce_sweep` for the one-call sweep that
 returns a :class:`SweepResult` (an
 :class:`~repro.flow.batch.ExplorationResult` whose ``pareto()`` is
@@ -60,11 +61,12 @@ from ..obs import Tracer, activate, current_tracer
 from ..obs import span as obs_span
 from ..partition.base import Partitioner
 from ..platform.architecture import TargetArchitecture
-from ..store import ArtifactStore, PersistentCache, TieredCache
+from ..store import (DEFAULT_MAX_BYTES, PIPELINE_CACHE_SCHEMA,
+                     ArtifactStore, PersistentCache, TieredCache)
 from ..workloads.generators import WorkloadSpec
 from .batch import (DesignPoint, ExplorationResult, FlowJob, JobOutcome,
-                    ProgressCallback, _run_outcome, design_point_of,
-                    payload_check)
+                    ProgressCallback, StoreSpec, _normalize_store,
+                    _run_outcome, design_point_of, payload_check)
 from .pipeline import CacheTier, StageCache
 
 __all__ = ["ShardError", "JobPayload", "JobSummary", "Shard",
@@ -254,24 +256,30 @@ class ShardOutcome:
 #: Per-process state of a shard worker: one cache tier, initialized
 #: once per process and shared by every shard the process executes.
 #: With a ``store_path`` the tier is an L1 memory cache over the shared
-#: on-disk L2, so workers warm-start from every previous run.
+#: on-disk L2 (opened with the coordinator's ``max_bytes`` and
+#: ``schema``), so workers warm-start from every previous run.
 _WORKER_CACHE: CacheTier | None = None
 #: True when :func:`_worker_cache` had to fabricate the cache itself
 #: (the initializer never ran); echoed in every outcome of the worker.
 _WORKER_CACHE_FALLBACK = False
 
 
-def _build_worker_cache(max_entries: int,
-                        store_path: str | None = None) -> CacheTier:
+def _build_worker_cache(max_entries: int, store_path: str | None = None,
+                        max_bytes: int | None = DEFAULT_MAX_BYTES,
+                        schema: int = PIPELINE_CACHE_SCHEMA) -> CacheTier:
     l1 = StageCache(max_entries=max_entries)
     if store_path is None:
         return l1
-    return TieredCache(l1, PersistentCache(ArtifactStore(store_path)))
+    return TieredCache(l1, PersistentCache(
+        ArtifactStore(store_path, max_bytes=max_bytes), schema=schema))
 
 
-def _init_worker(max_entries: int, store_path: str | None = None) -> None:
+def _init_worker(max_entries: int, store_path: str | None = None,
+                 max_bytes: int | None = DEFAULT_MAX_BYTES,
+                 schema: int = PIPELINE_CACHE_SCHEMA) -> None:
     global _WORKER_CACHE, _WORKER_CACHE_FALLBACK
-    _WORKER_CACHE = _build_worker_cache(max_entries, store_path)
+    _WORKER_CACHE = _build_worker_cache(max_entries, store_path, max_bytes,
+                                        schema)
     _WORKER_CACHE_FALLBACK = False
 
 
@@ -452,7 +460,7 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
                   job_timeout: float | None = None,
                   progress: ProgressCallback | None = None,
                   map_order: str = "planned",
-                  store_path: str | os.PathLike | None = None,
+                  store_path: StoreSpec | None = None,
                   ) -> tuple[list[JobOutcome], ShardSweepStats]:
     """Plan, map and reduce a sweep; outcomes come back in input order.
 
@@ -463,8 +471,11 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
     order independence -- results are identical either way.  Progress
     streams per job, in shard completion order.
 
-    ``store_path`` attaches a shared persistent L2 tier (see
-    :mod:`repro.store`) under every worker's stage cache: workers of
+    ``store_path`` (a store root, an :class:`~repro.store.ArtifactStore`
+    or a :class:`~repro.store.PersistentCache`) attaches a shared
+    persistent L2 tier (see :mod:`repro.store`) under every worker's
+    stage cache.  Workers reopen it with the given store's ``max_bytes``
+    and cache ``schema`` (the defaults for a bare path).  Workers of
     *this* run share each other's stage results through the store, and
     a later run -- any process, any shard count -- warm-starts from it.
     Results stay bit-identical to a storeless serial sweep; the merged
@@ -474,11 +485,16 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
         raise ShardError(f"unknown map order {map_order!r}")
     jobs = list(jobs)
     total = len(jobs)
+    # a live store handle cannot cross the process boundary: ship its
+    # settings and let every worker reopen it identically
+    store = _normalize_store(store_path)
+    store_args = () if store is None else (
+        os.fspath(store.store.root), store.store.max_bytes, store.schema)
     with obs_span("sharded_sweep", kind="flow", backend="shard",
                   jobs=total) as sweep_span:
         outcomes, stats = _sharded_sweep(jobs, shards, max_workers,
                                          job_timeout, progress, map_order,
-                                         store_path)
+                                         store_args)
         sweep_span.set("shards", stats.planned_shards)
         sweep_span.set("workers", stats.workers)
         return outcomes, stats
@@ -487,7 +503,7 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
 def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
                    max_workers: int | None, job_timeout: float | None,
                    progress: ProgressCallback | None, map_order: str,
-                   store_path: str | os.PathLike | None,
+                   store_args: tuple,
                    ) -> tuple[list[JobOutcome], ShardSweepStats]:
     total = len(jobs)
     outcomes: list[JobOutcome | None] = [None] * total
@@ -521,13 +537,13 @@ def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
     if plan:
         order = list(plan) if map_order == "planned" \
             else list(reversed(plan))
-        store_arg = os.fspath(store_path) if store_path is not None else None
         # when the coordinator is tracing, workers trace too: each shard
         # records its spans locally and ships them back in the outcome
         tracer = current_tracer()
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(DEFAULT_WORKER_CACHE_ENTRIES, store_arg)) as pool:
+                initargs=(DEFAULT_WORKER_CACHE_ENTRIES,
+                          *store_args)) as pool:
             shard_of = {pool.submit(run_shard, shard, job_timeout,
                                     tracer is not None): shard
                         for shard in order}
@@ -609,7 +625,7 @@ def map_reduce_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
                      job_timeout: float | None = None,
                      progress: ProgressCallback | None = None,
                      map_order: str = "planned",
-                     store_path: str | os.PathLike | None = None,
+                     store_path: StoreSpec | None = None,
                      ) -> SweepResult:
     """One-call sharded sweep: jobs in, ranked :class:`SweepResult` out."""
     from .batch import _point_from

@@ -9,6 +9,7 @@ from repro.apps import four_band_equalizer, fuzzy_controller
 from repro.flow import (JOB_TIMEOUT_SEMANTICS, BatchRunner, CoolFlow,
                         DesignSpaceExplorer, FlowJob, StageCache,
                         payload_check)
+from repro.flow.batch import _point_from
 from repro.graph import TaskGraph, execute
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
@@ -16,7 +17,7 @@ from repro.workloads import build_graphs, workload_suite
 
 
 class UnpicklablePartitioner(GreedyPartitioner):
-    """A partitioner no process pool can ship (holds a thread lock)."""
+    """A partitioner no worker process can be sent (holds a lock)."""
 
     def __init__(self):
         super().__init__()
@@ -53,20 +54,19 @@ def _jobs():
 class TestBatchRunner:
     def test_serial_and_parallel_agree(self):
         serial = BatchRunner(backend="serial").run(_jobs())
-        parallel = BatchRunner(max_workers=4).run(_jobs())
+        parallel = BatchRunner(shards=2, max_workers=2).run(_jobs())
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a.ok and b.ok
             assert a.job.label == b.job.label
-            assert a.result.report() == b.result.report()
-            assert a.result.vhdl_files == b.result.vhdl_files
-            assert a.result.c_files == b.result.c_files
+            assert _point_from(a) == _point_from(b)
 
     def test_outcomes_keep_input_order(self):
-        outcomes = BatchRunner(max_workers=4).run(_jobs())
+        outcomes = BatchRunner(shards=3, max_workers=2).run(_jobs())
         assert [o.job.label for o in outcomes] == \
             ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
         assert all(o.seconds > 0 for o in outcomes)
+        assert all(o.point is not None for o in outcomes)
 
     def test_cosim_job_matches_reference(self):
         outcome = BatchRunner(backend="serial").run([_jobs()[3]])[0]
@@ -85,15 +85,24 @@ class TestBatchRunner:
         jobs = [_jobs()[0],
                 FlowJob(graph=broken, arch=minimal_board(), label="bad"),
                 _jobs()[2]]
-        outcomes = BatchRunner(max_workers=3).run(jobs)
+        outcomes = BatchRunner(shards=3, max_workers=2).run(jobs)
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
-        assert outcomes[1].result is None
+        assert outcomes[1].point is None
         assert "GraphError" in outcomes[1].error
+        reference = BatchRunner(backend="serial").run(jobs)
+        assert [_point_from(o) for o in (outcomes[0], outcomes[2])] == \
+            [_point_from(o) for o in (reference[0], reference[2])]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             BatchRunner(backend="carrier-pigeon")
+        # the deleted pool backends point at what replaces them
+        for backend in ("thread", "process"):
+            with pytest.raises(ValueError, match="removed") as caught:
+                BatchRunner(backend=backend, max_workers=2)
+            assert "stage_cache" in str(caught.value)
+            assert "shards=" in str(caught.value)
 
     def test_job_names(self):
         job = FlowJob(graph=four_band_equalizer(words=8),
@@ -114,6 +123,11 @@ class TestBatchRunner:
             f"equalizer@minimal_board/{default_name}"
 
 
+#: The two backends, spelled the way callers select them.
+_BACKENDS = {"serial": dict(backend="serial"),
+             "shard": dict(shards=2, max_workers=2)}
+
+
 class TestStreamingRunner:
     def test_progress_callback_streams_completions(self):
         events = []
@@ -121,7 +135,8 @@ class TestStreamingRunner:
         def progress(outcome, done, total):
             events.append((outcome.job.label, done, total))
 
-        outcomes = BatchRunner(max_workers=4).run(_jobs(), progress=progress)
+        outcomes = BatchRunner(shards=2, max_workers=2).run(
+            _jobs(), progress=progress)
         assert [o.job.label for o in outcomes] == \
             ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
         assert [d for _, d, _ in events] == [1, 2, 3, 4]
@@ -140,20 +155,21 @@ class TestStreamingRunner:
         # a buggy observer must never sink a sweep whose jobs all
         # succeeded: the exception is swallowed, warned about once, and
         # later completions keep streaming to the same callback
-        events = []
+        for knobs in _BACKENDS.values():
+            events = []
 
-        def progress(outcome, done, total):
-            events.append((outcome.job.label, done))
-            if done == 1:
-                raise RuntimeError("observer bug")
+            def progress(outcome, done, total):
+                events.append((outcome.job.label, done))
+                if done == 1:
+                    raise RuntimeError("observer bug")
 
-        with pytest.warns(RuntimeWarning, match="progress callback"):
-            outcomes = BatchRunner(max_workers=4).run(
-                _jobs(), progress=progress)
-        assert [o.job.label for o in outcomes] == \
-            ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
-        assert all(o.ok for o in outcomes)
-        assert [d for _, d in events] == [1, 2, 3, 4]
+            with pytest.warns(RuntimeWarning, match="progress callback"):
+                outcomes = BatchRunner(**knobs).run(_jobs(),
+                                                    progress=progress)
+            assert [o.job.label for o in outcomes] == \
+                ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
+            assert all(o.ok for o in outcomes)
+            assert [d for _, d in events] == [1, 2, 3, 4]
 
     def test_progress_callback_warns_once_for_repeat_failures(self):
         import warnings as _warnings
@@ -171,9 +187,8 @@ class TestStreamingRunner:
         assert len(runtime) == 1
 
     def test_process_pickling_failure_is_isolated(self):
-        # the pickling error surfaces on the future, *outside*
-        # _run_outcome's try/except -- it must still become one failed
-        # outcome instead of sinking the whole sweep
+        # an unpicklable job in the middle of a shard sweep becomes one
+        # failed outcome at its own position instead of sinking the sweep
         equalizer = four_band_equalizer(words=8)
         jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
                         partitioner=GreedyPartitioner(), label="good"),
@@ -181,11 +196,11 @@ class TestStreamingRunner:
                         partitioner=UnpicklablePartitioner(), label="bad"),
                 FlowJob(graph=equalizer, arch=cool_board(),
                         partitioner=GreedyPartitioner(), label="good2")]
-        outcomes = BatchRunner(max_workers=2, backend="process").run(jobs)
+        outcomes = BatchRunner(shards=2, max_workers=2).run(jobs)
         assert [o.job.label for o in outcomes] == ["good", "bad", "good2"]
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
-        assert outcomes[1].result is None
+        assert outcomes[1].point is None
         assert "pickle" in outcomes[1].error.lower()
 
     def test_shared_stage_cache_across_jobs(self):
@@ -206,81 +221,47 @@ class TestStreamingRunner:
         jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
                         partitioner=GreedyPartitioner(), label="fast"),
                 FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(2.0), label="slow")]
-        started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=2, backend="thread",
+                        partitioner=SleepyPartitioner(0.8), label="slow")]
+        outcomes = BatchRunner(shards=2, max_workers=2,
                                job_timeout=0.4).run(jobs)
-        elapsed = time.perf_counter() - started
-        assert outcomes[0].ok
+        assert outcomes[0].ok, outcomes[0].error
         assert not outcomes[1].ok
         assert "Timeout" in outcomes[1].error
-        assert elapsed < 1.5, "sweep must not wait for the straggler"
+        assert outcomes[1].point is None
 
     def test_bad_job_timeout_rejected(self):
         with pytest.raises(ValueError, match="job_timeout"):
             BatchRunner(job_timeout=0.0)
 
     def test_queued_jobs_do_not_accrue_timeout_budget(self):
-        # per-job budget starts when the job *runs*: four ~sub-second
-        # jobs behind one worker all finish even though their summed
-        # wall-clock exceeds the budget
+        # the budget is per job, not per shard: four ~sub-second jobs
+        # queued on one shard all finish even though their summed
+        # wall-clock exceeds the budget (distinct sleeps keep the
+        # worker's stage cache from serving the later ones)
         equalizer = four_band_equalizer(words=8)
         jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(0.15),
+                        partitioner=SleepyPartitioner(0.15 + i / 100),
                         label=f"q{i}") for i in range(4)]
-        outcomes = BatchRunner(max_workers=1, backend="thread",
+        outcomes = BatchRunner(shards=1, max_workers=1,
                                job_timeout=0.45).run(jobs)
         assert all(o.ok for o in outcomes), \
             [o.error for o in outcomes if not o.ok]
 
-    def test_saturated_pool_cannot_stall_the_sweep(self):
-        # a straggler holds the only worker past its budget; the queued
-        # job must not wait indefinitely behind it -- once the pool is
-        # saturated by timed-out jobs, queued jobs accrue budget and
-        # fail as starved, so run() returns in bounded time
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(2.5), label="stuck"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="queued")]
-        started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=1, backend="thread",
-                               job_timeout=0.3).run(jobs)
-        elapsed = time.perf_counter() - started
-        assert elapsed < 2.0, "sweep must not wait out the straggler"
-        assert not outcomes[0].ok and "budget" in outcomes[0].error
-        assert not outcomes[1].ok and "worker" in outcomes[1].error
-
-    def test_starvation_clock_clears_when_pool_recovers(self):
-        # a straggler times out but then actually returns: the queued
-        # jobs' starvation clocks must be dropped so quick jobs are not
-        # spuriously failed on a pool that recovered
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(1.0), label="late"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="q1"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="q2")]
-        outcomes = BatchRunner(max_workers=1, backend="thread",
-                               job_timeout=0.8).run(jobs)
-        assert not outcomes[0].ok and "budget" in outcomes[0].error
-        assert outcomes[1].ok, outcomes[1].error
-        assert outcomes[2].ok, outcomes[2].error
-
     def test_single_job_process_batch_still_isolates_pickling(self):
-        # regression: the old in-process shortcut for tiny batches ran
-        # the job in the parent and silently skipped pickling
+        # a single-job batch still crosses the process boundary: no
+        # in-process shortcut for tiny batches may skip the pickling check
         job = FlowJob(graph=four_band_equalizer(words=8),
                       arch=minimal_board(),
                       partitioner=UnpicklablePartitioner(), label="solo")
-        outcome = BatchRunner(max_workers=2, backend="process").run([job])[0]
-        assert not outcome.ok
-        assert "pickle" in outcome.error.lower()
+        outcomes = BatchRunner(shards=2, max_workers=2).run([job])
+        assert len(outcomes) == 1
+        assert not outcomes[0].ok
+        assert outcomes[0].point is None
+        assert "pickle" in outcomes[0].error.lower()
 
     def test_process_rejects_unpicklable_payload_at_submission(self):
-        # satellite: the poison is caught *before* the pool sees the job,
-        # with the offending field named -- not a mid-sweep TypeError
+        # the poison is caught *before* the pool sees the job, with the
+        # offending field named -- not a mid-sweep TypeError
         bad = FlowJob(graph=four_band_equalizer(words=8),
                       arch=minimal_board(),
                       partitioner=UnpicklablePartitioner(), label="bad")
@@ -290,7 +271,7 @@ class TestStreamingRunner:
         assert "pickle" in error.lower()
         assert payload_check(_jobs()[0]) is None
         events = []
-        outcomes = BatchRunner(max_workers=2, backend="process").run(
+        outcomes = BatchRunner(shards=2, max_workers=2).run(
             [bad] + _jobs()[:1],
             progress=lambda o, d, t: events.append(o.job.label))
         assert not outcomes[0].ok and "partitioner" in outcomes[0].error
@@ -298,29 +279,25 @@ class TestStreamingRunner:
         assert events[0] == "bad", "rejection must stream before any result"
 
     def test_process_expired_straggler_fails_and_sweep_continues(self):
-        # satellite: expired-straggler path on the *process* backend --
-        # the straggler becomes a failed outcome with a reason while the
-        # fast job still completes
+        # an expired job on a shard is reported failed and the shard
+        # goes on with its next job (JOB_TIMEOUT_SEMANTICS["shard"])
         equalizer = four_band_equalizer(words=8)
         jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(2.5), label="slow"),
+                        partitioner=SleepyPartitioner(0.8), label="slow"),
                 FlowJob(graph=equalizer, arch=minimal_board(),
                         partitioner=GreedyPartitioner(), label="fast")]
-        started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=2, backend="process",
-                               job_timeout=0.5).run(jobs)
-        elapsed = time.perf_counter() - started
+        outcomes = BatchRunner(shards=1, max_workers=1,
+                               job_timeout=0.4).run(jobs)
         assert not outcomes[0].ok
         assert "Timeout" in outcomes[0].error
         assert "budget" in outcomes[0].error
         assert outcomes[1].ok, outcomes[1].error
-        assert elapsed < 2.2, "sweep must not wait out the straggler"
 
     def test_timeout_semantics_documented_per_backend(self):
         # one authoritative record; every accepted backend has an entry
-        for backend in ("serial", "thread", "process", "shard"):
-            BatchRunner(backend=backend)
-            assert backend in JOB_TIMEOUT_SEMANTICS
+        assert set(JOB_TIMEOUT_SEMANTICS) == set(_BACKENDS)
+        for backend, knobs in _BACKENDS.items():
+            assert BatchRunner(**knobs).backend == backend
             assert len(JOB_TIMEOUT_SEMANTICS[backend]) > 20
 
 
@@ -376,7 +353,7 @@ class TestDesignSpaceExplorer:
             architectures=[minimal_board(), cool_board()],
             partitioners=[GreedyPartitioner(), MilpPartitioner()],
             deadlines=[None, 10_000],
-            runner=BatchRunner(max_workers=4),
+            runner=BatchRunner(shards=2, max_workers=2),
         )
         return explorer.explore()
 

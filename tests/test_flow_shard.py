@@ -8,18 +8,20 @@ import pytest
 
 from repro.flow import (JOB_TIMEOUT_SEMANTICS, BatchRunner,
                         DesignSpaceExplorer, ExplorationResult, FlowJob,
-                        ShardError, map_reduce_sweep, sharded_sweep)
+                        ShardError, StageCache, map_reduce_sweep,
+                        sharded_sweep)
 from repro.flow.batch import _point_from
 from repro.flow.shard import (JobSummary, ShardPlanner, payload_of,
                               reduce_shards, run_shard)
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
+from repro.store import PIPELINE_CACHE_SCHEMA, ArtifactStore, PersistentCache
 from repro.workloads import workload_suite
 import repro.flow.shard as shard_mod
 
 
 class UnpicklablePartitioner(GreedyPartitioner):
-    """A partitioner no process pool can ship (holds a thread lock)."""
+    """A partitioner no worker process can be sent (holds a lock)."""
 
     def __init__(self):
         super().__init__()
@@ -198,14 +200,20 @@ class TestReduceIntegrity:
 
 class TestShardBackendRunner:
     def test_one_knob_spelling_selects_shard_backend(self):
-        runner = BatchRunner(shards=4)
-        assert runner.backend == "shard"
+        assert BatchRunner(shards=4).backend == "shard"
+        assert BatchRunner(max_workers=2).backend == "shard"
+        assert BatchRunner().backend == "serial"
 
     def test_shards_knob_rejected_on_other_backends(self):
         with pytest.raises(ValueError, match="shards"):
-            BatchRunner(backend="process", shards=4)
+            BatchRunner(backend="serial", shards=4)
+        with pytest.raises(ValueError, match="max_workers"):
+            BatchRunner(backend="serial", max_workers=2)
         with pytest.raises(ValueError, match="shards"):
             BatchRunner(shards=0)
+        # shard workers cannot share the caller's in-memory cache
+        with pytest.raises(ValueError, match="stage_cache"):
+            BatchRunner(shards=2, stage_cache=StageCache())
 
     def test_runner_matches_serial_and_records_stats(self, jobs, serial):
         runner = BatchRunner(shards=2, max_workers=2)
@@ -241,8 +249,7 @@ class TestShardBackendRunner:
         assert all(o.point is None for o in outcomes)
 
     def test_timeout_semantics_recorded_for_every_backend(self):
-        assert set(JOB_TIMEOUT_SEMANTICS) == \
-            {"serial", "thread", "process", "shard"}
+        assert set(JOB_TIMEOUT_SEMANTICS) == {"serial", "shard"}
         assert "discarded" in JOB_TIMEOUT_SEMANTICS["shard"]
 
 
@@ -340,6 +347,25 @@ class TestStoreBackedShards:
         assert cache["l2"]["hits"] > 0
         assert cache["hit_rate"] == 1.0
         assert cache["cold_fallbacks"] == 0
+
+    def test_workers_keep_the_callers_store_settings(self, tmp_path):
+        # regression: workers used to reopen the store from its bare
+        # root, with the default 512 MiB bound and cache schema, so a
+        # sharded sweep overran a small max_bytes
+        bound = 150_000
+        schema = PIPELINE_CACHE_SCHEMA + 100
+        store = ArtifactStore(tmp_path / "store", max_bytes=bound)
+        outcomes = BatchRunner(
+            shards=2, max_workers=2,
+            store=PersistentCache(store, schema=schema),
+        ).run(_suite_jobs(6, seed=3))
+        assert all(o.ok for o in outcomes)
+        sizes = [path.stat().st_size
+                 for path in (tmp_path / "store" / "objects").glob("*/*.rec")]
+        assert sizes, "the sweep must have written records"
+        # slack: each worker's just-written record is never evicted
+        assert sum(sizes) <= bound + 2 * max(sizes), sum(sizes)
+        assert {store.get(key).schema for key in store.keys()} == {schema}
 
     def test_storeless_stats_have_no_tier_views(self, jobs):
         _, stats = sharded_sweep(jobs[:2], shards=1, max_workers=1)

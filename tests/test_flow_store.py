@@ -249,27 +249,6 @@ class TestStoreBackedBatch:
             assert outcome.result.report().splitlines()[:-1] == \
                 baseline.result.report().splitlines()
 
-    def test_thread_backend_warm_restart(self, tmp_path):
-        store = tmp_path / "store"
-        BatchRunner(backend="thread", max_workers=2,
-                    store=store).run(self._jobs())
-        warm = BatchRunner(backend="thread", max_workers=2,
-                           store=store).run(self._jobs())[0]
-        assert warm.ok
-        assert sum(warm.result.stage_runs.values()) == 0
-        assert warm.result.cache_stats["l2"]["hits"] > 0
-
-    def test_process_backend_matches_serial(self, tmp_path):
-        store = tmp_path / "store"
-        serial = BatchRunner(backend="serial").run(self._jobs())[0]
-        BatchRunner(backend="process", max_workers=2,
-                    store=store).run(self._jobs())
-        warm = BatchRunner(backend="process", max_workers=2,
-                           store=store).run(self._jobs())[0]
-        assert warm.ok
-        assert warm.result.report().splitlines()[:-1] == \
-            serial.result.report().splitlines()
-
     def test_rejects_a_nonsense_store(self):
         with pytest.raises(TypeError, match="store"):
             BatchRunner(backend="serial", store=1234)
