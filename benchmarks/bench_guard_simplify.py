@@ -15,7 +15,7 @@ controller-synthesis and verification benches (50-graph workload suite
   refinement never ends up with more blocks.
 * ``verification`` -- the soundness gate: every controller rebuilt
   with reachability-reduced guards re-proves trace equivalence to its
-  minimized STG through the tiered composition check.
+  minimized STG through the default (symbolic) composition check.
 * ``cosim`` -- golden-model gate on a sample of designs: the full
   ``CoolFlow`` (guard simplification on) must co-simulate to exactly
   the golden interpreter's outputs.
@@ -38,7 +38,6 @@ from repro.controllers import (harvest_care_sets,
                                simplify_controller_guards,
                                synthesize_system_controller,
                                verify_composition)
-from repro.controllers.verify import DEFAULT_MAX_PRODUCT_STATES
 from repro.flow import CoolFlow
 from repro.graph import execute
 from repro.platform import minimal_board
@@ -55,8 +54,7 @@ SUITE_SEED = 7
 COSIM_DESIGNS = 6
 
 
-def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
-            max_states: int = DEFAULT_MAX_PRODUCT_STATES) -> dict:
+def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
     designs = []
     for graph, schedule in _suite_designs(n_graphs, seed):
         mini, _ = minimize_stg(build_stg(schedule))
@@ -69,7 +67,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
     emit_simplified_s = 0.0
     for graph, mini, controller in designs:
         try:
-            care = harvest_care_sets(controller, max_states=max_states)
+            care = harvest_care_sets(controller)
         except AutomataError as exc:
             care = {}
             care_fallbacks.append((graph.name, str(exc)))
@@ -97,12 +95,11 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
                                              guard_canonical=True).n_blocks
 
         # on a harvest fallback `care` is {}: pass it through verbatim
-        # so simplify does NOT silently re-harvest at its default bound
-        # (guards stay untouched, re-verification still runs)
+        # so simplify does NOT silently re-harvest (guards stay
+        # untouched, re-verification still runs)
         reduced, _stats = simplify_controller_guards(controller,
                                                      care_sets=care)
-        check = verify_composition(mini, reduced, graph=graph,
-                                   max_states=max_states)
+        check = verify_composition(mini, reduced, graph=graph)
         per_design.append({
             "name": graph.name,
             "literals_before": before,
@@ -135,7 +132,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
             "graphs": len(designs),
             "workload_graphs": n_graphs,
             "seed": seed,
-            "max_states": max_states,
         },
         "literals": {
             "before": totals_before,
@@ -163,8 +159,8 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
         "verification": {
             "reverified": sum(d["reverified"] for d in per_design),
             "designs": len(per_design),
-            "bisimulation_tier": sum(d["tier"] == "bisimulation"
-                                     for d in per_design),
+            "symbolic_tier": sum(d["tier"] == "symbolic"
+                                 for d in per_design),
             "care_fallbacks": sorted(name for name, _ in care_fallbacks),
         },
         "cosim": {
@@ -204,8 +200,7 @@ def report(payload: dict) -> str:
     verification = payload["verification"]
     cosim = payload["cosim"]
     lines = ["Symbolic guard simplification at suite scale:"]
-    lines.append(f"  suite               : {suite['graphs']} designs "
-                 f"(max_states {suite['max_states']})")
+    lines.append(f"  suite               : {suite['graphs']} designs")
     lines.append(f"  VHDL guard literals : {literals['before']} -> "
                  f"{literals['after']} "
                  f"({literals['reduction']:.0%} fewer; "
@@ -220,8 +215,8 @@ def report(payload: dict) -> str:
     lines.append(f"  re-verification     : "
                  f"{verification['reverified']}/{verification['designs']} "
                  f"equivalent "
-                 f"({verification['bisimulation_tier']} proved by "
-                 f"bisimulation; care fallbacks "
+                 f"({verification['symbolic_tier']} proved by the "
+                 f"symbolic tier; care fallbacks "
                  f"{verification['care_fallbacks']})")
     lines.append(f"  golden co-simulation: {cosim['golden_ok']}/"
                  f"{cosim['designs']} flows bit-exact")
@@ -244,15 +239,11 @@ def main(argv=None) -> int:
                         help="workload suite size (default %(default)s)")
     parser.add_argument("--seed", type=int, default=SUITE_SEED,
                         help="suite seed (default %(default)s)")
-    parser.add_argument("--max-states", type=int,
-                        default=DEFAULT_MAX_PRODUCT_STATES,
-                        help="care-harvest product bound "
-                             "(default %(default)s)")
     parser.add_argument("--no-write", action="store_true",
                         help="skip writing BENCH_guard_simplify.json "
                              "(CI smoke runs)")
     args = parser.parse_args(argv)
-    payload = measure(args.graphs, args.seed, args.max_states)
+    payload = measure(args.graphs, args.seed)
     check(payload)
     if not args.no_write:
         RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

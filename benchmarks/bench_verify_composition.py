@@ -7,16 +7,21 @@ workload suite + two larger random graphs), plus -- at full suite size
 materialize, and persists the numbers to
 ``BENCH_verify_composition.json`` at the repo root:
 
-* ``symbolic`` -- the default tier: how many designs were *proved*
+* ``symbolic`` -- the default tier, the one proof a flow run makes
+  (no oracle runs on that path): how many designs were *proved*
   trace-equivalent to their minimized STG under every admissible
   environment and every stream length (restart loop included), step
   system sizes, determinized pair counts, per-design timings for the
   five slowest proofs, and wall-clock.
-* ``explicit_crosscheck`` -- the retired default re-run as an oracle:
-  every suite design goes through ``strategy="exhaustive"`` (the
-  materialized bounded product) and its verdict must be identical to
-  the symbolic one.  Its wall-clock is the baseline the headline
-  speedup is measured against.
+* ``explicit_crosscheck`` -- the first oracle: every suite design goes
+  through ``strategy="exhaustive"`` (the materialized bounded product)
+  and its verdict must be identical to the symbolic one.  Its
+  wall-clock is the baseline the headline speedup is measured against.
+* ``relational_crosscheck`` -- the second oracle: every suite design's
+  reachable sets are re-derived by relational BDD image iteration
+  (``symbolic_trace_equivalence(..., relational_check=True)``), which
+  raises on a disagreement with the enumerated sets; the re-run
+  fixpoint must also return the symbolic verdict and pair count.
 * ``scale`` -- the designs beyond the explicit tier's reach: 200- and
   500-node random task graphs proved by the unbounded symbolic tier
   alone (tens of thousands of product states, > ``max_states``).
@@ -27,7 +32,8 @@ materialize, and persists the numbers to
   every suite design (the cost floor).
 
 The functional gates always apply: every design equivalent under every
-strategy, symbolic and explicit verdicts identical, zero fallbacks.
+strategy, symbolic and explicit verdicts identical, every suite design
+re-derived relationally in agreement, zero fallbacks.
 The timing gates -- the ``random_80_80`` symbolic proof at least 3x
 faster than the committed explicit baseline, and a >= 500-node design
 proved -- run only at full suite size, like the other benches
@@ -46,8 +52,10 @@ import time
 from pathlib import Path
 
 from bench_controller_synthesis import _suite_designs
+from repro.automata import AutomataError, symbolic_trace_equivalence
 from repro.controllers import synthesize_system_controller, verify_composition
-from repro.controllers.verify import DEFAULT_MAX_PRODUCT_STATES
+from repro.controllers.verify import (DEFAULT_MAX_PRODUCT_STATES,
+                                      _symbolic_inputs)
 from repro.estimate import CostModel
 from repro.graph import from_mapping
 from repro.platform import cool_board
@@ -121,22 +129,43 @@ def _timed_checks(prepared, strategy, max_states):
     return out
 
 
+def _relational_agrees(mini, controller, check) -> bool:
+    """Does the relational re-derivation confirm the symbolic proof?"""
+    reference, product, classes = _symbolic_inputs(mini, controller)
+    try:
+        result = symbolic_trace_equivalence(reference, product, classes,
+                                            relational_check=True)
+    except AutomataError:
+        return False
+    return (result.image_iterations > 0
+            and result.pairs_checked == check.pairs_checked
+            and result.equivalent == check.equivalent)
+
+
 def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
             max_states: int = DEFAULT_MAX_PRODUCT_STATES,
             scale_sizes: tuple = ()) -> dict:
     prepared = _prepare(_suite_designs(n_graphs, seed))
     scale_prepared = _prepare(_scale_designs(scale_sizes))
 
-    auto_started = time.perf_counter()
-    per_design = _timed_checks(prepared, "auto", max_states)
-    auto_s = time.perf_counter() - auto_started
+    symbolic_started = time.perf_counter()
+    per_design = _timed_checks(prepared, "symbolic", max_states)
+    symbolic_total_s = time.perf_counter() - symbolic_started
 
     explicit = _timed_checks(prepared, "exhaustive", max_states)
     explicit_s = sum(seconds for _, _, seconds in explicit)
     agreeing = sum(a.equivalent == b.equivalent
                    for (_, a, _), (_, b, _) in zip(per_design, explicit))
 
-    scale_per_design = _timed_checks(scale_prepared, "auto", max_states)
+    relational_started = time.perf_counter()
+    relational_agreeing = sum(
+        _relational_agrees(mini, controller, check)
+        for (_, mini, controller), (_, check, _) in zip(prepared,
+                                                        per_design))
+    relational_s = time.perf_counter() - relational_started
+
+    scale_per_design = _timed_checks(scale_prepared, "symbolic",
+                                     max_states)
 
     sampled_started = time.perf_counter()
     sampled_checks = [verify_composition(mini, controller, graph=graph,
@@ -179,8 +208,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
                                  for _, check, _ in proved),
             "starts_checked": sum(check.starts_checked
                                   for _, check, _ in proved),
-            "oracle_agreed": sum(check.oracle == "agrees"
-                                 for _, check, _ in proved),
             "slowest_designs": [{
                 "name": name,
                 "seconds": round(seconds, 6),
@@ -201,6 +228,11 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
                 "speedup_x": round(
                     EXPLICIT_80_BASELINE_S / seconds_of["random_80_80"], 2),
             },
+        },
+        "relational_crosscheck": {
+            "designs": len(prepared),
+            "agreeing": relational_agreeing,
+            "verify_s": round(relational_s, 6),
         },
         "scale": {
             "designs": [{
@@ -236,7 +268,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
             "activations": sampled_checks[0].activations
             if sampled_checks else 0,
         },
-        "auto_total_s": round(auto_s, 6),
+        "symbolic_total_s": round(symbolic_total_s, 6),
     }
 
 
@@ -248,6 +280,7 @@ def check(payload: dict, timing_margin: float | None = 1.0) -> None:
     """
     symbolic = payload["symbolic"]
     crosscheck = payload["explicit_crosscheck"]
+    relational = payload["relational_crosscheck"]
     fallback = payload["fallback"]
     sampled = payload["sampled_baseline"]
     scale = payload["scale"]
@@ -266,6 +299,8 @@ def check(payload: dict, timing_margin: float | None = 1.0) -> None:
          f"designs (min {MIN_SYMBOLIC_COVERAGE:.0%})")
     assert crosscheck["agreeing"] == crosscheck["designs"] == designs, \
         "symbolic and explicit tiers disagree on a suite verdict"
+    assert relational["agreeing"] == relational["designs"] == designs, \
+        "the relational re-derivation disagrees on a suite design"
     for entry in scale["designs"]:
         assert entry["tier"] == "symbolic" and entry["equivalent"], \
             f"scale design {entry['name']} not proved symbolically"
@@ -288,6 +323,7 @@ def report(payload: dict) -> str:
     suite = payload["suite"]
     symbolic = payload["symbolic"]
     crosscheck = payload["explicit_crosscheck"]
+    relational = payload["relational_crosscheck"]
     fallback = payload["fallback"]
     sampled = payload["sampled_baseline"]
     lines = ["Verification v3 -- symbolic fixpoint tier at suite scale:"]
@@ -298,8 +334,7 @@ def report(payload: dict) -> str:
                  f"{symbolic['verify_s'] * 1e3:8.1f} ms "
                  f"({symbolic['product_states']} product states, "
                  f"{symbolic['pairs_checked']} pairs, "
-                 f"{symbolic['projections']} projections, "
-                 f"{symbolic['oracle_agreed']} oracle-agreed)")
+                 f"{symbolic['projections']} projections)")
     for entry in symbolic["slowest_designs"]:
         lines.append(f"    slow proof        : {entry['name']} "
                      f"({entry['seconds'] * 1e3:.1f} ms, "
@@ -308,6 +343,9 @@ def report(payload: dict) -> str:
     lines.append(f"  explicit crosscheck : {crosscheck['agreeing']}/"
                  f"{crosscheck['designs']} verdicts identical in "
                  f"{crosscheck['verify_s'] * 1e3:8.1f} ms")
+    lines.append(f"  relational check    : {relational['agreeing']}/"
+                 f"{relational['designs']} reachable sets re-derived in "
+                 f"{relational['verify_s'] * 1e3:8.1f} ms")
     if crosscheck["random_80_80"]:
         speed = crosscheck["random_80_80"]
         lines.append(f"  random_80_80        : {speed['symbolic_s']}s "

@@ -8,12 +8,12 @@ producers whose first done is always latched by the time the state is
 entered only needs the second literal, and a repeated wait on a flag
 the chain already consumed is unconditional.  Which literals are
 redundant is exactly a *reachability* question, so this module answers
-it from the same materialized product the composition verifier proves
-equivalence on:
+it from the same lazily explored composition the symbolic verify tier
+proves equivalence on:
 
-* :func:`harvest_care_sets` walks every transition of the reachable
-  product under the admissible environment closure
-  (:func:`repro.controllers.verify.controller_product_automaton`) and
+* :func:`harvest_care_sets` walks every step row of the reachable
+  composition under the admissible environment closure
+  (:func:`repro.controllers.verify.controller_step_system`) and
   records, per (FSM, state), every input valuation that component can
   ever see there -- the *care set*; everything else is a reachability
   don't-care.
@@ -38,7 +38,7 @@ from dataclasses import replace
 from ..automata import AutomataError, SynchronousComposition
 from .fsm import Fsm
 from .system_controller import SystemController, controller_composition
-from .verify import DEFAULT_MAX_PRODUCT_STATES, controller_step_system
+from .verify import controller_step_system
 
 __all__ = ["harvest_care_sets", "simplify_controller_guards",
            "simplify_fsm_conditions"]
@@ -47,9 +47,7 @@ __all__ = ["harvest_care_sets", "simplify_controller_guards",
 CareSets = dict
 
 
-def harvest_care_sets(controller: SystemController,
-                      max_states: int = DEFAULT_MAX_PRODUCT_STATES
-                      ) -> CareSets:
+def harvest_care_sets(controller: SystemController) -> CareSets:
     """Every input valuation each FSM can see, per state, reachably.
 
     Walks the step rows of the lazily explored composition
@@ -62,10 +60,8 @@ def harvest_care_sets(controller: SystemController,
     :meth:`repro.automata.SynchronousComposition.cycle`, where latched
     pulses and held command signals are equally visible in the cycle
     they arrive.  The lazy system has no state bound, so the harvest
-    covers every design the verifier proves; ``max_states`` is kept for
-    interface stability but no longer limits the walk.
+    covers every design the verifier proves.
     """
-    del max_states  # the lazy exploration is unbounded
     components, _config = controller_composition(controller)
     system = controller_step_system(controller)
     care: CareSets = {component.name: {} for component in components}
@@ -126,20 +122,18 @@ def simplify_fsm_conditions(fsm: Fsm, care_of: dict | None) -> Fsm:
 
 def simplify_controller_guards(
         controller: SystemController,
-        care_sets: CareSets | None = None,
-        max_states: int = DEFAULT_MAX_PRODUCT_STATES
+        care_sets: CareSets | None = None
         ) -> tuple[SystemController, dict]:
     """A controller with reachability-reduced guard literals + stats.
 
-    ``care_sets`` defaults to a fresh :func:`harvest_care_sets` (now
-    unbounded -- the lazy exploration retired the ``max_states``
-    limit); should the harvest ever fail, the controller is returned
+    ``care_sets`` defaults to a fresh (unbounded)
+    :func:`harvest_care_sets`; should the harvest ever fail, the controller is returned
     unchanged with the reason in the stats -- don't-care simplification
     without the reachability evidence would be unsound.
     """
     if care_sets is None:
         try:
-            care_sets = harvest_care_sets(controller, max_states)
+            care_sets = harvest_care_sets(controller)
         except AutomataError as exc:
             stats = {"simplified": False, "reason": str(exc),
                      "literals_before": _literals(controller),

@@ -4,35 +4,38 @@ The paper's central correctness claim is that the *composition* of
 communicating controllers (phase FSM x per-resource sequencers, talking
 over ``go`` / ``phase_done_*`` / the done-flag registers) implements
 exactly the scheduled behaviour the STG specifies.  This module checks
-that claim for every synthesized design with a **tiered strategy**:
+that claim for every synthesized design.  A flow run uses one
+mechanism, the symbolic tier; the explicit tier and the sampled tier
+are selected by ``strategy``.
 
-**Symbolic tier (default exhaustive tier)**.  Both sides are explored
-as :class:`~repro.automata.LazyStepSystem` step systems under the
-*admissible environment closure*: per state, the environment may stay
-silent, deliver the done pulse of any in-flight node (started,
+**Symbolic tier (``strategy="symbolic"``, the default)**.  Both sides
+are explored as :class:`~repro.automata.LazyStepSystem` step systems
+under the *admissible environment closure*: per state, the environment
+may stay silent, deliver the done pulse of any in-flight node (started,
 completion not yet reported), or -- once the activation completed --
 pulse ``restart``.  Nothing automaton-shaped is materialized and there
 is **no state bound**: equivalence is decided per observable class by
 the determinized τ-closed pair fixpoint of
 :func:`repro.automata.symbolic_trace_equivalence` (weak bisimilarity
 coincides with weak trace equivalence on these determinate systems --
-see :mod:`repro.automata.symbolic`), the reachable sets live as BDD
-characteristic functions, and on designs small enough for the explicit
-oracle the per-letter partitioned transition-relation BDDs are
-re-imaged to the same fixpoint as a cross-check of the relational
-machinery (``docs/SYMBOLIC_VERIFY.md``).
+see :mod:`repro.automata.symbolic`), and the reachable sets live as BDD
+characteristic functions (``docs/SYMBOLIC_VERIFY.md``).
 
-**Explicit tier -- materialized weak bisimulation** (the cross-check
-oracle, and ``strategy="exhaustive"``).  The controller side is
+**Explicit tier -- materialized weak bisimulation**
+(``strategy="exhaustive"``).  The controller side is
 :func:`repro.automata.synchronous_product` over the exact harness
 composition; the STG side is the token executor explored through the
 same :func:`repro.automata.reachable_automaton` materializer (both
 bounded by ``max_states``).  The two automata are compared by **weak
 bisimulation** (:func:`repro.automata.weak_bisimilar` -- kernel
 partition refinement on the τ-saturated disjoint union), projected per
-observable class.  Under ``strategy="auto"`` this tier re-proves every
-design whose step systems stay within ``ORACLE_MAX_STATES``, and any
-verdict disagreement with the symbolic tier is itself a mismatch:
+observable class.  It is the reference implementation the symbolic
+tier is cross-checked against in the tests and in
+``benchmarks/bench_verify_composition.py``, together with the
+relational image re-derivation of the reachable sets
+(``symbolic_trace_equivalence(..., relational_check=True)``).
+
+Both exhaustive tiers project per observable class:
 
 * one projection per processing unit, keeping that unit's commands
   (its reads/starts/writes and its reset) -- interleaving *across*
@@ -55,10 +58,10 @@ that withholds that pulse.  The STG's own traces are still
 sanity-checked against the task graph -- bisimulation cannot see a
 schedule bug both sides mirror faithfully.
 
-**Sampled tier -- environment sampling** (fallback, recorded in
-``CompositionCheck.fallback_reason``).  When an exhaustive tier bails
-out (``strategy="auto"`` only falls back when the symbolic tier's
-determinacy contract is violated), both sides run in closed loop against a family
+**Sampled tier -- environment sampling** (``strategy="sampled"``, and
+the recorded fallback of the symbolic tier when its determinacy
+contract is violated, reason in ``CompositionCheck.fallback_reason``).
+Both sides run in closed loop against a family
 of deterministic environments (unit latencies drawn per (environment,
 node)) for ``activations`` back-to-back activations through the
 restart path, and their observable behaviour must agree per
@@ -94,7 +97,7 @@ from .system_controller import (PHASE_DONE_STATE, ControllerHarness,
 __all__ = ["CompositionCheck", "verify_composition",
            "controller_product_automaton", "controller_step_system",
            "stg_step_automaton", "stg_step_system",
-           "DEFAULT_MAX_PRODUCT_STATES", "ORACLE_MAX_STATES"]
+           "DEFAULT_MAX_PRODUCT_STATES"]
 
 _START = "start_"
 _DONE = "done_"
@@ -107,18 +110,8 @@ _CONTROLLER_ONLY = ("system_done",)
 #: bounded: the default symbolic tier explores lazily and proves
 #: designs of any size.  Calibrated on the bench suite: the 80-node
 #: scale graph (~2500 composite states) proves explicitly in a few
-#: seconds, so every pre-scale suite design fits the oracle bound.
+#: seconds, so every pre-scale suite design fits the bound.
 DEFAULT_MAX_PRODUCT_STATES = 4000
-
-#: Under ``strategy="auto"``, designs whose step systems both stay
-#: within this many states are additionally re-proved by the explicit
-#: bisimulation tier (and the symbolic tier's relational BDD image
-#: iteration is cross-checked against the enumerated reachable set).
-#: Deliberately below the suite's largest design: the oracle exists to
-#: keep the two tiers honest against each other on the broad population
-#: of small designs, not to re-pay the explicit cost on the long poles
-#: the symbolic tier was built to retire.
-ORACLE_MAX_STATES = 1200
 
 
 @dataclass(frozen=True)
@@ -131,9 +124,7 @@ class CompositionCheck:
     materialized product, bounded by ``max_states``) or ``"sampled"``
     (deterministic environment family, ``activations`` streamed
     activations each).  ``fallback_reason`` records why an exhaustive
-    tier was skipped when the sampled tier produced the verdict;
-    ``oracle`` records the explicit cross-check verdict when the
-    symbolic tier ran it.
+    tier was skipped when the sampled tier produced the verdict.
     """
 
     equivalent: bool
@@ -149,17 +140,18 @@ class CompositionCheck:
     reference_states: int = 0
     projections_checked: int = 0
     #: Symbolic tier observability: determinized set pairs explored by
-    #: the per-class fixpoints, BDD image iterations of the relational
-    #: cross-check, and the owning engine's node / unique-table /
-    #: ite-hit-rate counters -- the numbers that make a verify
-    #: regression diagnosable from the bench JSON alone.
+    #: the per-class fixpoints, BDD image iterations (0 unless the
+    #: relational cross-check ran), and the owning engine's node /
+    #: unique-table / ite-hit-rate counters -- the numbers that make a
+    #: verify regression diagnosable from the bench JSON alone.
     pairs_checked: int = 0
     image_iterations: int = 0
     bdd_nodes: int = 0
     bdd_unique_table: int = 0
     bdd_ite_hit_rate: float = 0.0
-    #: ``"agrees"`` / ``"disagrees"`` when the explicit oracle re-proved
-    #: the design under ``strategy="auto"``, None when it did not run.
+    #: Always None: no tier runs a cross-check oracle any more.  Kept
+    #: only because the ``coolbench`` verify probe reads it; it goes
+    #: with the next change to that benchmark.
     oracle: str | None = None
     fallback_reason: str | None = None
     mismatches: tuple[str, ...] = ()
@@ -226,9 +218,8 @@ class _AdmissibleEnvironment(ProductEnvironment):
         return frozenset(in_flight)
 
 
-#: Fingerprint-keyed memo of materialized products: the verify stage
-#: and the guard don't-care harvester both need the same product in one
-#: flow run, and the BFS is the most expensive step for large designs.
+#: Fingerprint-keyed memo of materialized products for the explicit
+#: tier, whose most expensive step on large designs is this BFS.
 #: Automatons are immutable, so sharing the instance is safe; the lock
 #: keeps lookup/insert/evict atomic when CoolFlow runs on several
 #: threads of one process.
@@ -246,8 +237,7 @@ def controller_product_automaton(
     inspection: a finite automaton of every configuration the
     communicating controllers can reach under any admissible
     environment, restart loop included.  Results are memoized by
-    ``(controller fingerprint, max_states)`` so the verify tier and the
-    guard-simplification harvest share one materialization per flow.
+    ``(controller fingerprint, max_states)``.
     """
     key = (controller.fingerprint(), max_states)
     with _PRODUCT_CACHE_LOCK:
@@ -535,31 +525,33 @@ def _system_has_restart(system: LazyStepSystem) -> bool:
                for letter_id in range(system.n_letters))
 
 
-def _verify_symbolic(stg: Stg, controller: SystemController, graph,
-                     max_states: int, activations: int,
-                     environments: int, max_cycles: int,
-                     oracle: bool) -> CompositionCheck:
-    """Symbolic tier: unbounded lazy step systems + fixpoint equivalence.
-
-    With ``oracle`` (``strategy="auto"``), designs whose step systems
-    fit ``ORACLE_MAX_STATES`` are re-proved by the explicit
-    bisimulation tier -- a verdict disagreement is itself a mismatch --
-    and the relational BDD image iteration is cross-checked against
-    the enumerated reachable sets.  Raises
-    :class:`~repro.automata.AutomataError` only when the determinacy
-    contract of the pair fixpoint is violated (``strategy="auto"``
-    records that as the sampled tier's fallback reason).
-    """
+def _symbolic_inputs(stg: Stg, controller: SystemController
+                     ) -> tuple[LazyStepSystem, LazyStepSystem,
+                                list[tuple[str, frozenset[str]]]]:
+    """The symbolic tier's operands: (STG system, controller system,
+    observable classes), both systems fully expanded."""
     product_system = controller_step_system(controller)
     reference_system = stg_step_system(stg)
     reference_system.expand_all()
     actions, bursts = _system_alphabet((reference_system, product_system))
     classes = _observable_classes(actions, bursts,
                                   _node_resources(controller))
-    small = oracle and max(len(reference_system),
-                           len(product_system)) <= ORACLE_MAX_STATES
+    return reference_system, product_system, classes
+
+
+def _verify_symbolic(stg: Stg, controller: SystemController, graph,
+                     activations: int, environments: int,
+                     max_cycles: int) -> CompositionCheck:
+    """Symbolic tier: unbounded lazy step systems + fixpoint equivalence.
+
+    Raises :class:`~repro.automata.AutomataError` only when the
+    determinacy contract of the pair fixpoint is violated (the caller
+    records that as the sampled tier's fallback reason).
+    """
+    reference_system, product_system, classes = \
+        _symbolic_inputs(stg, controller)
     result = symbolic_trace_equivalence(reference_system, product_system,
-                                        classes, relational_check=small)
+                                        classes)
 
     mismatches: list[str] = []
     for verdict in result.verdicts:
@@ -573,11 +565,9 @@ def _verify_symbolic(stg: Stg, controller: SystemController, graph,
     # configurations, so an interned restart letter *is* the proof that
     # the activation can finish; this catches the *mirrored* deadlock
     # trace equivalence is blind to (see _verify_exhaustive).
-    completion_ok = True
     for system, what in ((reference_system, "STG"),
                          (product_system, "controller composition")):
         if not _system_has_restart(system):
-            completion_ok = False
             mismatches.append(
                 f"{what} never completes an activation under any "
                 f"admissible environment (no restart-admissible "
@@ -585,32 +575,6 @@ def _verify_symbolic(stg: Stg, controller: SystemController, graph,
 
     mismatches.extend(_schedule_sanity_mismatches(stg, graph, environments,
                                                   max_cycles, activations))
-
-    oracle_verdict: str | None = None
-    if small:
-        symbolic_core = result.equivalent and completion_ok
-        try:
-            explicit = _verify_exhaustive(stg, controller, None, max_states,
-                                          activations, environments,
-                                          max_cycles)
-        except AutomataError:
-            # the caller capped max_states below the oracle threshold:
-            # the symbolic verdict stands alone, exactly as on designs
-            # past the threshold
-            explicit = None
-        if explicit is not None:
-            if explicit.equivalent == symbolic_core:
-                oracle_verdict = "agrees"
-            else:
-                oracle_verdict = "disagrees"
-                mismatches.append(
-                    f"explicit bisimulation oracle disagrees with the "
-                    f"symbolic tier (explicit: "
-                    f"{'equivalent' if explicit.equivalent else 'inequivalent'}"
-                    f", symbolic: "
-                    f"{'equivalent' if symbolic_core else 'inequivalent'}; "
-                    f"explicit mismatches: "
-                    f"{'; '.join(explicit.mismatches) or 'none'})")
 
     starts = 0
     actions_total = 0
@@ -634,7 +598,6 @@ def _verify_symbolic(stg: Stg, controller: SystemController, graph,
         bdd_nodes=result.bdd_stats["nodes"],
         bdd_unique_table=result.bdd_stats["unique_table"],
         bdd_ite_hit_rate=result.bdd_stats["ite_hit_rate"],
-        oracle=oracle_verdict,
         mismatches=tuple(mismatches))
 
 
@@ -935,20 +898,19 @@ def verify_composition(stg: Stg, controller: SystemController,
                        max_cycles: int = 100_000,
                        activations: int = 2,
                        max_states: int = DEFAULT_MAX_PRODUCT_STATES,
-                       strategy: str = "auto") -> CompositionCheck:
+                       strategy: str = "symbolic") -> CompositionCheck:
     """Check the communicating-controller composition against ``stg``.
 
-    ``strategy`` selects the tier: ``"auto"`` (default) runs the
-    unbounded symbolic tier, re-proves oracle-sized designs with the
-    explicit bisimulation tier, and falls back to environment sampling
-    only when the symbolic tier's determinacy contract is violated (the
-    fallback reason is recorded on the check); ``"symbolic"`` demands
-    the symbolic tier alone (no oracle, raising
-    :class:`~repro.automata.AutomataError` instead of falling back);
-    ``"exhaustive"`` demands the explicit bisimulation tier (raising
+    ``strategy`` selects the tier: ``"symbolic"`` (default) runs the
+    unbounded symbolic tier and falls back to environment sampling only
+    when its determinacy contract is violated (the fallback reason is
+    recorded on the check); ``"exhaustive"`` demands the explicit
+    bisimulation tier (raising :class:`~repro.automata.AutomataError`
     when the product exceeds ``max_states``); ``"sampled"`` forces the
     sampling tier.  ``max_states`` only bounds the explicit tier -- the
-    symbolic tier has no state bound, which is the point of it.
+    symbolic tier has no state bound, which is the point of it.  The
+    explicit tier is the symbolic tier's reference implementation: the
+    flow never runs it unless asked to.
 
     ``activations`` streams that many back-to-back activations through
     the restart path in the sampled tier (the exhaustive tiers' restart
@@ -959,7 +921,7 @@ def verify_composition(stg: Stg, controller: SystemController,
     exhaustive tiers (where the controller side is covered transitively
     by the equivalence verdict; see the module docstring).
     """
-    if strategy not in ("auto", "symbolic", "exhaustive", "sampled"):
+    if strategy not in ("symbolic", "exhaustive", "sampled"):
         raise ValueError(f"unknown verification strategy {strategy!r}")
     if activations < 1:
         raise ValueError("verification needs at least one activation")
@@ -983,14 +945,11 @@ def _verify_dispatch(stg: Stg, controller: SystemController, graph,
     """Tier selection and fallback, shared by every caller of
     :func:`verify_composition` (which wraps it in the verify span)."""
     fallback_reason: str | None = None
-    if strategy in ("auto", "symbolic"):
+    if strategy == "symbolic":
         try:
-            return _verify_symbolic(stg, controller, graph, max_states,
-                                    activations, environments, max_cycles,
-                                    oracle=strategy == "auto")
+            return _verify_symbolic(stg, controller, graph, activations,
+                                    environments, max_cycles)
         except AutomataError as exc:
-            if strategy == "symbolic":
-                raise
             fallback_reason = str(exc)
     elif strategy == "exhaustive":
         return _verify_exhaustive(stg, controller, graph, max_states,

@@ -76,8 +76,6 @@ def test_simplified_controller_still_verifies_against_stg(spec):
     check = verify_composition(stg, simplified, graph=graph)
     assert check.equivalent, check.mismatches
     assert check.tier == "symbolic"
-    # the suite designs are small enough for the explicit oracle
-    assert check.oracle == "agrees"
 
 
 def test_suite_reduces_literals_somewhere():

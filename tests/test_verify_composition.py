@@ -1,12 +1,15 @@
 """Tests for verified composition: product-of-controllers ≡ minimized STG.
 
 Covers the tiered checker on the bundled apps (the unbounded symbolic
-fixpoint tier as default with the explicit bisimulation tier as its
-oracle, environment sampling as recorded fallback), the ``verify``
-pipeline stage (FlowResult exposure + fingerprint caching + tier
-configuration) and the detector's teeth: a tampered controller must be
-caught by *every* tier, with a concrete distinguishing trace from the
-symbolic one.
+fixpoint tier as default, environment sampling as recorded fallback),
+the ``verify`` pipeline stage (FlowResult exposure + fingerprint
+caching + tier configuration) and the detector's teeth: a tampered
+controller must be caught by *every* tier, with a concrete
+distinguishing trace from the symbolic one.  The two oracles the flow
+no longer runs -- the explicit weak-bisimulation tier and the
+relational image re-derivation of the reachable sets -- are checked
+against the symbolic verdict here, on the bundled apps, the tampered
+controller and guard-simplified suite designs.
 """
 
 import types
@@ -14,19 +17,23 @@ import types
 import pytest
 
 from repro.apps import dct_stage, four_band_equalizer, fuzzy_controller
-from repro.automata import AutomataError
+from repro.automata import AutomataError, symbolic_trace_equivalence
 from repro.controllers import (Fsm, SystemController,
+                               simplify_controller_guards,
                                synthesize_system_controller,
                                verify_composition)
-from repro.controllers.verify import _dependency_violations, _multiset_diff
+from repro.controllers.verify import (_dependency_violations,
+                                      _multiset_diff, _symbolic_inputs)
 from repro.estimate import CostModel
 from repro.flow import CoolFlow
 from repro.graph import from_mapping
 from repro.partition import GreedyPartitioner
+from repro.partition.base import PartitioningProblem
 from repro.platform import cool_board, minimal_board
 from repro.schedule import list_schedule
 from repro.stg import (StateKind, Stg, StgState, StgTransition, build_stg,
                        minimize_stg)
+from repro.workloads import workload_suite
 
 
 def implementation(graph, arch, hw_nodes=()):
@@ -83,13 +90,12 @@ class TestSymbolicTier:
         assert check.equivalent, check.mismatches
         assert check.tier == "symbolic"
         assert check.fallback_reason is None
-        # oracle-sized designs are re-proved by the explicit tier and
-        # the relational BDD image iteration; its stats must surface
-        assert check.oracle == "agrees"
-        assert check.image_iterations > 0
+        # one proof per run: no oracle, no relational re-derivation
+        assert check.oracle is None
+        assert check.image_iterations == 0
         assert check.bdd_nodes > 0
         assert check.bdd_unique_table > 0
-        assert 0.0 < check.bdd_ite_hit_rate <= 1.0
+        assert 0.0 <= check.bdd_ite_hit_rate <= 1.0
         assert check.pairs_checked > 0
         # one projection per processing unit plus one per memory command
         assert check.projections_checked > len(controller.sequencers)
@@ -113,10 +119,9 @@ class TestSymbolicTier:
     def test_tampered_controller_fails_every_tier(self):
         graph, mini, controller = implementation(*BUNDLED[0])
         tampered = tamper(controller)
-        # symbolic tier (forced: no oracle assist) with a concrete
-        # shortest distinguishing trace in ?letter/!action form
-        check = verify_composition(mini, tampered, graph=graph,
-                                   strategy="symbolic")
+        # the default symbolic tier, with a concrete shortest
+        # distinguishing trace in ?letter/!action form
+        check = verify_composition(mini, tampered, graph=graph)
         assert check.tier == "symbolic"
         assert not check.equivalent
         trace_mismatches = [m for m in check.mismatches
@@ -131,11 +136,6 @@ class TestSymbolicTier:
         assert check.tier == "bisimulation"
         assert not check.equivalent
         assert any("not weakly bisimilar" in m for m in check.mismatches)
-        # and the default auto tier's oracle agrees both are inequivalent
-        check = verify_composition(mini, tampered, graph=graph)
-        assert check.tier == "symbolic"
-        assert not check.equivalent
-        assert check.oracle == "agrees"
 
     def test_unminimized_stg_also_equivalent(self):
         graph = four_band_equalizer(words=8)
@@ -155,7 +155,7 @@ class TestSymbolicTier:
     def test_max_states_no_longer_limits_the_default_tier(self):
         # the symbolic tier is unbounded: a max_states far below the
         # reachable product must still produce a symbolic proof (the
-        # explicit oracle silently sits out -- it cannot materialize)
+        # bound only reaches the explicit tier)
         graph, mini, controller = implementation(*BUNDLED[0])
         check = verify_composition(mini, controller, graph=graph,
                                    max_states=5)
@@ -177,15 +177,14 @@ class TestSymbolicTier:
         assert check.equivalent
         assert "pair fixpoint exceeds" in check.fallback_reason
 
-    def test_strict_strategies_refuse_to_fall_back(self, monkeypatch):
-        import repro.automata.symbolic as symbolic
+    def test_strict_strategies_refuse_to_fall_back(self):
+        # the explicit tier is the one strict strategy: past its state
+        # bound it raises instead of sampling (the symbolic tier always
+        # records its fallback, see the test above)
         _, mini, controller = implementation(*BUNDLED[0])
         with pytest.raises(AutomataError):
             verify_composition(mini, controller, max_states=5,
                                strategy="exhaustive")
-        monkeypatch.setattr(symbolic, "MAX_PAIR_FIXPOINT", 1)
-        with pytest.raises(AutomataError):
-            verify_composition(mini, controller, strategy="symbolic")
 
     def test_mirrored_deadlock_detected(self):
         # an STG stuck behind an unsatisfiable guard, faithfully
@@ -245,8 +244,72 @@ class TestSymbolicTier:
         _, mini, controller = implementation(*BUNDLED[0])
         with pytest.raises(ValueError):
             verify_composition(mini, controller, strategy="guess")
+        # the oracle-running default is gone, not aliased
+        with pytest.raises(ValueError, match="unknown verification"):
+            verify_composition(mini, controller, strategy="auto")
         with pytest.raises(ValueError):
             verify_composition(mini, controller, activations=0)
+
+
+def _bundled(index, tampered=False):
+    def build():
+        graph, mini, controller = implementation(*BUNDLED[index])
+        return graph, mini, tamper(controller) if tampered else controller
+    return build
+
+
+def _guard_simplified(spec):
+    """A ``tests/test_guard_simplify.py`` suite design, guards reduced."""
+    def build():
+        graph = spec.build()
+        result = GreedyPartitioner().partition(
+            PartitioningProblem(graph, minimal_board()))
+        stg, _ = minimize_stg(build_stg(result.schedule))
+        simplified, stats = simplify_controller_guards(
+            synthesize_system_controller(stg))
+        assert stats["simplified"]
+        return graph, stg, simplified
+    return build
+
+
+#: The oracles' coverage: the bundled apps, the tampered controller and
+#: the guard-simplified designs of the guard-simplification tests.
+DIFFERENTIAL = [
+    *((f"bundled-{graph.name}", _bundled(index))
+      for index, (graph, _arch, _hw) in enumerate(BUNDLED)),
+    (f"tampered-{BUNDLED[0][0].name}", _bundled(0, tampered=True)),
+    *((f"guards-{spec.family}-{spec.seed}", _guard_simplified(spec))
+      for spec in workload_suite(20, seed=5)[:6]),
+]
+
+
+class TestOracles:
+    """The symbolic verdict against both reference implementations."""
+
+    @pytest.mark.parametrize("build", [build for _, build in DIFFERENTIAL],
+                             ids=[name for name, _ in DIFFERENTIAL])
+    def test_symbolic_verdict_matches_both_oracles(self, build):
+        graph, stg, controller = build()
+        symbolic = verify_composition(stg, controller, graph=graph,
+                                      strategy="symbolic")
+        explicit = verify_composition(stg, controller, graph=graph,
+                                      strategy="exhaustive")
+        assert symbolic.tier == "symbolic"
+        assert explicit.tier == "bisimulation"
+        assert symbolic.equivalent == explicit.equivalent, \
+            (symbolic.mismatches, explicit.mismatches)
+        assert symbolic.product_states == explicit.product_states
+        # the relational image iteration re-derives both reachable sets
+        # from per-letter transition BDDs (it raises on disagreement)
+        reference, product, classes = _symbolic_inputs(stg, controller)
+        relational = symbolic_trace_equivalence(reference, product,
+                                                classes,
+                                                relational_check=True)
+        assert relational.image_iterations > 0
+        assert 0.0 < relational.bdd_stats["ite_hit_rate"] <= 1.0
+        assert relational.pairs_checked == symbolic.pairs_checked
+        if symbolic.equivalent:
+            assert relational.equivalent
 
 
 class TestSampledTier:
@@ -346,7 +409,7 @@ class TestVerifyFlowStage:
         assert "verified composition" in result.report()
         assert "symbolic fixpoint" in result.report()
         assert "BDD nodes" in result.report()
-        assert "explicit oracle agrees" in result.report()
+        assert "oracle" not in result.report()
 
     def test_stage_is_fingerprint_cached(self, flow_and_result):
         flow, graph, _ = flow_and_result
@@ -368,6 +431,46 @@ class TestVerifyFlowStage:
         assert result.stage_runs.get("controllers", 0) == 0
         assert result.composition_check.tier == "sampled"
         assert "sampled" in result.report()
+
+    def test_explicit_bound_is_not_part_of_the_codegen_key(
+            self, flow_and_result):
+        # verify_max_states only reaches the explicit tier: a flow that
+        # differs in it alone re-runs verify, never codegen
+        flow, graph, _ = flow_and_result
+        bounded_flow = CoolFlow(minimal_board(),
+                                partitioner=GreedyPartitioner(),
+                                stage_cache=flow.stage_cache,
+                                verify_max_states=5)
+        result = bounded_flow.run(graph)
+        assert result.stage_runs.get("verify") == 1
+        assert result.stage_runs["codegen"] == 0
+        assert result.composition_check.tier == "symbolic"
+        assert result.composition_check.equivalent
+
+    def test_default_flow_never_reaches_an_oracle(self, monkeypatch):
+        import repro.automata.symbolic as symbolic
+        import repro.controllers.verify as verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the explicit oracle ran on the flow")
+
+        summary = symbolic.reachable_set_summary
+
+        def enumerated_only(engine, system, relational_check=False):
+            assert not relational_check, "the relational oracle ran"
+            return summary(engine, system)
+
+        monkeypatch.setattr(verify, "_verify_exhaustive", forbidden)
+        monkeypatch.setattr(symbolic, "reachable_set_summary",
+                            enumerated_only)
+        graph = workload_suite(1, seed=11)[0].build()
+        result = CoolFlow(minimal_board(),
+                          partitioner=GreedyPartitioner()).run(graph)
+        check = result.composition_check
+        assert check.tier == "symbolic"
+        assert check.equivalent, check.mismatches
+        assert check.oracle is None
+        assert check.image_iterations == 0
 
     def test_opt_out(self):
         graph = four_band_equalizer(words=8)
