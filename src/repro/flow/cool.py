@@ -16,11 +16,15 @@ codegen         graph, partition, schedule, plan, ctrls, hls    vhdl_files, c_fi
 cosim           graph, partition, schedule, plan, ctrl, stimuli sim_result
 =============== =============================================== ==========================
 
-Every artifact is content-fingerprinted, so a stage re-runs only when an
-input actually changed.  The HLS area-repair loop exploits this: it
-iterates *partitioning -> hls* alone, and STG construction /
-communication refinement run exactly once on the converged schedule
-instead of being rebuilt for every discarded intermediate partition
+Every artifact is fingerprinted -- by content where it has a
+``fingerprint()`` hook, by its derivation (stage, input signature) where
+it has none -- so a stage re-runs only when an input actually changed.
+The HLS area-repair loop exploits this: it runs the ``hls`` stage once,
+then after each eviction re-shares only the overfull device's datapath
+from the per-node results it kept (an eviction only removes nodes, so
+no node is synthesized twice).  STG construction / communication
+refinement run exactly once on the converged schedule instead of being
+rebuilt for every discarded intermediate partition
 (``FlowResult.stage_runs`` makes this observable).  A per-flow
 :class:`~repro.flow.pipeline.StageCache` additionally reuses stage
 outputs across ``run`` calls, so re-running an unchanged (graph,
@@ -58,7 +62,8 @@ from ..controllers.verify import (DEFAULT_MAX_PRODUCT_STATES,
 from ..graph.partition import Partition
 from ..graph.taskgraph import TaskGraph
 from ..graph.validate import check_graph
-from ..hls.driver import SharedDatapathResult, synthesize_resource
+from ..hls.driver import (SharedDatapathResult, share_datapath,
+                          synthesize_resource)
 from ..obs import span as obs_span
 from ..partition.base import (Partitioner, PartitioningProblem,
                               PartitionResult, evaluate_mapping)
@@ -506,47 +511,63 @@ class CoolFlow:
 
         # HLS area feedback: partitioning works on the quick estimator;
         # if the *synthesized* datapath of a device overflows its CLB
-        # capacity, a node is evicted to software and HLS reruns (the
-        # estimate-update loop of iterative co-design flows).  Only the
-        # partitioning/hls artifacts change here, so the executor never
-        # touches the STG or communication stages inside this loop.
+        # capacity, a node is evicted to software (the estimate-update
+        # loop of iterative co-design flows).  HLS runs once: an
+        # eviction only removes a node from the worst device, so that
+        # device's kept per-node results are exactly what a fresh
+        # synthesis would compute, and only its shared datapath is
+        # rebuilt.  The executor is not called inside this loop, so STG
+        # construction and communication refinement run once, on the
+        # converged schedule.
         problem = PartitioningProblem(graph, self.arch, deadline=deadline)
+        executor.request(ctx, ["hls_results"])
+        hls_results: dict[str, SharedDatapathResult] = \
+            dict(ctx.get("hls_results"))
         repairs = 0
-        while True:
-            executor.request(ctx, ["hls_results"])
-            hls_results: dict[str, SharedDatapathResult] = \
-                ctx.get("hls_results")
+        while self.arch.processors:
             overflowing = [f for f in self.arch.fpgas
                            if hls_results[f.name].total_area_clbs
                            > f.clb_capacity]
-            if not overflowing or not self.arch.processors:
+            if not overflowing:
                 break
-            with stage_timer("partitioning", executor.stage_seconds):
-                worst = overflowing[0]
-                partition: Partition = ctx.get("partition")
-                node_areas = {
-                    name: hls_results[worst.name].node_results[name].area_clbs
-                    for name in partition.nodes_on(worst.name)}
-                victim, partition, schedule, feasibility = \
-                    select_eviction_victim(problem, partition, worst.name,
-                                           node_areas,
-                                           self.arch.processor_names[0])
-                repairs += 1
-                previous: PartitionResult = ctx.get("partition_result")
-                partition_result = PartitionResult(
-                    partition, schedule, feasibility, previous.algorithm,
-                    previous.runtime_s,
-                    {**previous.stats, "area_repairs": repairs})
-            ctx.put("partition_result", partition_result)
-            ctx.put("partition", partition)
-            ctx.put("schedule", schedule)
-            if repairs > len(graph):
+            if repairs >= len(graph):
                 raise RuntimeError("HLS area repair failed to converge")
+            worst = overflowing[0]
+            shared = hls_results[worst.name]
+            with obs_span("area_repair", kind="repair", device=worst.name,
+                          clbs_before=shared.total_area_clbs) as repair_span:
+                with stage_timer("partitioning", executor.stage_seconds):
+                    partition: Partition = ctx.get("partition")
+                    node_areas = {
+                        name: shared.node_results[name].area_clbs
+                        for name in partition.nodes_on(worst.name)}
+                    victim, partition, schedule, feasibility = \
+                        select_eviction_victim(problem, partition,
+                                               worst.name, node_areas,
+                                               self.arch.processor_names[0])
+                    repairs += 1
+                    previous: PartitionResult = ctx.get("partition_result")
+                    partition_result = PartitionResult(
+                        partition, schedule, feasibility, previous.algorithm,
+                        previous.runtime_s,
+                        {**previous.stats, "area_repairs": repairs})
+                ctx.put("partition_result", partition_result)
+                ctx.put("partition", partition)
+                ctx.put("schedule", schedule)
+                with stage_timer("hls", executor.stage_seconds):
+                    kept = {name: shared.node_results[name]
+                            for name in partition.nodes_on(worst.name)}
+                    hls_results[worst.name] = share_datapath(
+                        graph, worst.name, kept, worst)
+                repair_span.set("victim", victim)
+                repair_span.set("clbs_after",
+                                hls_results[worst.name].total_area_clbs)
         if repairs:
-            # remember the *converged* mapping for these inputs so the
-            # next run with the same (graph, arch, deadline, partitioner)
-            # skips the eviction search entirely
+            # remember the *converged* mapping and datapaths for these
+            # inputs so the next run with the same (graph, arch,
+            # deadline, partitioner) skips the eviction search entirely
             executor.commit_outputs(ctx, "partitioning")
+            executor.commit_outputs(ctx, "hls", {"hls_results": hls_results})
 
         # co-synthesis of the converged schedule: STG construction,
         # communication refinement, controllers, code generation.

@@ -6,10 +6,16 @@ gives that structure a first-class runtime:
 
 * :class:`Stage` -- one pipeline step with *declared* input and output
   artifact keys and a pure ``run(ctx)`` body;
-* :class:`FlowContext` -- a typed artifact store that records a content
-  fingerprint for every artifact at insertion time (``TaskGraph``,
-  ``Partition``, ``Schedule``, ``Stg`` and ``TargetArchitecture`` all
-  provide stable ``fingerprint()`` hooks);
+* :class:`FlowContext` -- a typed artifact store that records a
+  fingerprint for every artifact at insertion time.  Seeded inputs and
+  stage outputs with a ``fingerprint()`` hook (``TaskGraph``,
+  ``Partition``, ``Schedule``, ``Stg``, ``TargetArchitecture``, the
+  controllers) carry a *content* fingerprint, so a stage that re-runs
+  and reproduces an equal output leaves its consumers fresh.  A
+  hook-less stage output carries a *derived* fingerprint,
+  :func:`derived_fingerprint` of (stage, input signature, key): the
+  stage is pure in its declared inputs, so the signature already
+  determines the output, and no artifact is walked to hash it;
 * :class:`PipelineExecutor` -- a demand-driven executor: requesting a
   set of output keys runs exactly the stages whose fingerprinted inputs
   changed since they last ran, skipping everything that is still fresh;
@@ -26,7 +32,11 @@ survive the process (see :mod:`repro.store`).
 Artifacts are treated as immutable once stored: a stage must never
 mutate an input in place, it returns fresh outputs instead.  The
 executor relies on that contract -- fingerprints are computed once at
-``put`` time and cached stage outputs are shared by reference.
+``put`` time and cached stage outputs are shared by reference.  A
+driver that refines a stage's output commits it with
+:meth:`PipelineExecutor.commit_outputs`; a committed hook-less output
+must equal what the stage would compute from the committed inputs,
+because it takes the same derived fingerprint.
 """
 
 from __future__ import annotations
@@ -46,8 +56,9 @@ from ..obs import MetricsRegistry
 from ..obs import span as obs_span
 from ..store.tiered import CacheTier
 
-__all__ = ["PipelineError", "stage_timer", "fingerprint_of", "Stage",
-           "FlowContext", "StageCache", "CacheTier", "PipelineExecutor"]
+__all__ = ["PipelineError", "stage_timer", "fingerprint_of",
+           "derived_fingerprint", "Stage", "FlowContext", "StageCache",
+           "CacheTier", "PipelineExecutor"]
 
 
 class PipelineError(RuntimeError):
@@ -90,8 +101,22 @@ def fingerprint_of(value: Any) -> str:
     return content_hash(_canonical(value))
 
 
+def derived_fingerprint(stage: str, signature: tuple[str, ...],
+                        key: str) -> str:
+    """Fingerprint of the hook-less output ``key`` of a stage run.
+
+    A stage is pure in its declared inputs, so its input signature
+    determines every output it produces: naming the output by that
+    derivation is as precise as hashing its content, and costs one
+    short hash instead of a walk over the artifact.  The ``"derived"``
+    tag keeps these apart from content fingerprints.
+    """
+    return content_hash(("derived", stage, tuple(signature), key))
+
+
 def _canonical(value: Any) -> str:
-    """Deterministic string form of ``value`` for hashing."""
+    """Deterministic string form of ``value`` for hashing (seeded inputs
+    and hook-less values passed to :func:`fingerprint_of`)."""
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return f"{type(value).__name__}:{value!r}"
     hook = getattr(value, "fingerprint", None)
@@ -152,11 +177,16 @@ def _identity_token(value: Any) -> int:
 # artifacts
 # ----------------------------------------------------------------------
 class FlowContext:
-    """Typed artifact store with content fingerprints.
+    """Typed artifact store with fingerprints.
 
     Keys are artifact names (``"graph"``, ``"schedule"``, ...); the
     fingerprint of each artifact is computed once when it is stored and
     is what the executor compares to decide whether a stage must re-run.
+    :meth:`put` fingerprints content (seeded inputs, driver-refined
+    artifacts); the executor stores stage outputs through
+    :meth:`put_fingerprinted` with a content fingerprint where the
+    output has a ``fingerprint()`` hook and a
+    :func:`derived_fingerprint` where it has none.
     """
 
     def __init__(self, **artifacts: Any) -> None:
@@ -172,7 +202,8 @@ class FlowContext:
 
     def put_fingerprinted(self, key: str, value: Any,
                           fingerprint: str) -> None:
-        """Store an artifact whose fingerprint is already known (cache)."""
+        """Store an artifact whose fingerprint is already known (cache
+        hit, or a stage output the executor fingerprinted)."""
         self._values[key] = value
         self._fingerprints[key] = fingerprint
 
@@ -401,21 +432,32 @@ class PipelineExecutor:
         for stage in reversed(needed):
             self._execute(ctx, stage)
 
-    def commit_outputs(self, ctx: FlowContext, stage_name: str) -> None:
-        """Overwrite the cache entry of a stage with the context's artifacts.
+    def commit_outputs(self, ctx: FlowContext, stage_name: str,
+                       produced: Mapping[str, Any] | None = None) -> None:
+        """Overwrite the cache entry of a stage with refined outputs.
 
         For drivers that *refine* a stage's outputs after running it
         (the HLS area-repair loop replaces the partitioning results with
-        the converged mapping): committing stores the refined artifacts
-        under the stage's current input signature, so the next run with
-        the same inputs is served the converged solution directly
-        instead of repeating the refinement.
+        the converged mapping, and the HLS results with the datapaths
+        it re-shared): committing stores the refined artifacts under the
+        stage's current input signature, so the next run with the same
+        inputs is served the converged solution directly instead of
+        repeating the refinement, and marks the stage fresh for this
+        run.
+
+        Without ``produced`` the stage's outputs are taken from the
+        context as the driver ``put`` them.  With ``produced`` they are
+        stored into the context first and fingerprinted as if the stage
+        had run -- so each must equal what the stage computes from its
+        current inputs.
         """
         try:
             stage = self._by_name[stage_name]
         except KeyError:
             raise PipelineError(f"unknown stage {stage_name!r}") from None
         signature = self._signature(ctx, stage)
+        if produced is not None:
+            self._store_outputs(ctx, stage, signature, produced)
         self._last_inputs[stage.name] = signature
         if self.cache is not None:
             self.cache.put(stage.name, signature,
@@ -430,6 +472,24 @@ class PipelineExecutor:
             raise PipelineError(f"stage {stage.name!r}: missing inputs "
                                 f"{missing} (not in context, no producer)")
         return tuple(ctx.fingerprint(k) for k in stage.inputs)
+
+    @staticmethod
+    def _store_outputs(ctx: FlowContext, stage: Stage,
+                       signature: tuple[str, ...],
+                       produced: Mapping[str, Any]) -> None:
+        """Put the declared outputs into ``ctx``: content fingerprints
+        where an output has a hook, derived ones where it has none."""
+        missing = [k for k in stage.outputs if k not in produced]
+        if missing:
+            raise PipelineError(f"stage {stage.name!r} did not produce "
+                                f"declared outputs {missing}")
+        for key in stage.outputs:
+            value = produced[key]
+            if callable(getattr(value, "fingerprint", None)):
+                fingerprint = fingerprint_of(value)
+            else:
+                fingerprint = derived_fingerprint(stage.name, signature, key)
+            ctx.put_fingerprinted(key, value, fingerprint)
 
     def _execute(self, ctx: FlowContext, stage: Stage) -> None:
         signature = self._signature(ctx, stage)
@@ -449,12 +509,7 @@ class PipelineExecutor:
         with obs_span(stage.name, kind="stage", cache="miss"):
             with stage_timer(stage.name, self.stage_seconds):
                 produced = stage.run(ctx)
-            missing = [k for k in stage.outputs if k not in produced]
-            if missing:
-                raise PipelineError(f"stage {stage.name!r} did not produce "
-                                    f"declared outputs {missing}")
-            for key in stage.outputs:
-                ctx.put(key, produced[key])
+            self._store_outputs(ctx, stage, signature, produced)
             self._last_inputs[stage.name] = signature
             self.stage_runs[stage.name] = \
                 self.stage_runs.get(stage.name, 0) + 1

@@ -8,8 +8,8 @@ from .allocation import allocate_for_latency, allocate_minimal
 from .binding import Binding, bind
 from .rtl import RtlDatapath, RtlFu, build_rtl
 from .area import controller_area_clbs, datapath_area_clbs
-from .driver import (HlsResult, SharedDatapathResult, synthesize_node,
-                     synthesize_resource)
+from .driver import (HlsResult, SharedDatapathResult, share_datapath,
+                     synthesize_node, synthesize_resource)
 
 __all__ = [
     "Dfg", "DfgOp", "HlsError", "expand_node", "HlsSchedule",
@@ -18,4 +18,5 @@ __all__ = [
     "Binding", "bind", "RtlDatapath", "RtlFu", "build_rtl",
     "controller_area_clbs", "datapath_area_clbs", "HlsResult",
     "SharedDatapathResult", "synthesize_node", "synthesize_resource",
+    "share_datapath",
 ]

@@ -80,10 +80,11 @@ def bind(schedule: HlsSchedule) -> Binding:
             fu_of[uid] = (category, index)
 
     # register binding on value lifetimes
+    succs = dfg.successor_map()
     intervals = []
     for uid, op in dfg.ops.items():
         born = schedule.start[uid] + schedule.latency_of[op.category]
-        successors = dfg.successors(uid)
+        successors = succs[uid]
         if successors:
             dies = max(schedule.start[s] for s in successors) + 1
         else:

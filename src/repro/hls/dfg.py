@@ -46,8 +46,17 @@ class Dfg:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def successors(self, uid: int) -> list[int]:
-        return [o.uid for o in self.ops.values() if uid in o.inputs]
+    def successor_map(self) -> dict[int, list[int]]:
+        """Every op's successors, each listed once, in op order.
+
+        One O(ops) pass; callers build it once per schedule or binding
+        instead of scanning every op for each successor query.
+        """
+        succs: dict[int, list[int]] = {uid: [] for uid in self.ops}
+        for op in self.ops.values():
+            for dep in dict.fromkeys(op.inputs):
+                succs[dep].append(op.uid)
+        return succs
 
     def categories(self) -> dict[str, int]:
         """Operation count per category."""

@@ -10,12 +10,14 @@ share a single datapath.  The shared functional-unit set is the
 per-category maximum over the nodes (they execute mutually exclusively
 under the data-path controller), registers are likewise shared, and the
 multiplexing cost of sharing is accounted by summing the per-node mux
-sources on each shared unit.
+sources on each shared unit.  It is two steps: per-node
+:func:`synthesize_node` calls, then :func:`share_datapath`, the merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..graph.partition import Partition
 from ..graph.taskgraph import TaskGraph, TaskNode
@@ -29,7 +31,7 @@ from .rtl import RtlDatapath, RtlFu, build_rtl
 from .schedule import HlsSchedule, force_directed_schedule, list_schedule_ops
 
 __all__ = ["HlsResult", "SharedDatapathResult", "synthesize_node",
-           "synthesize_resource"]
+           "synthesize_resource", "share_datapath"]
 
 
 @dataclass
@@ -126,17 +128,27 @@ def synthesize_resource(graph: TaskGraph, partition: Partition,
                         target_latency: int | None = None
                         ) -> SharedDatapathResult:
     """Synthesize the shared datapath of one hardware resource."""
-    result = SharedDatapathResult(resource)
-    node_names = partition.nodes_on(resource)
-    if not node_names:
-        return result
+    node_results = {
+        name: synthesize_node(graph.node(name), fpga,
+                              target_latency=target_latency)
+        for name in partition.nodes_on(resource)}
+    return share_datapath(graph, resource, node_results, fpga)
 
-    width = 0
-    for name in node_names:
-        node = graph.node(name)
-        width = max(width, node.width)
-        result.node_results[name] = synthesize_node(
-            node, fpga, target_latency=target_latency)
+
+def share_datapath(graph: TaskGraph, resource: str,
+                   node_results: Mapping[str, HlsResult],
+                   fpga: Fpga) -> SharedDatapathResult:
+    """Merge per-node HLS results into one shared datapath on ``fpga``.
+
+    ``node_results`` must be in partition order (``nodes_on``).  The
+    merge reads only the per-node results and the nodes' widths, so a
+    caller that removes nodes from a resource can re-share the results
+    it kept instead of synthesizing every node again.
+    """
+    result = SharedDatapathResult(resource, dict(node_results))
+    if not node_results:
+        return result
+    width = max(graph.node(name).width for name in node_results)
 
     # shared FU set: per-category maximum over the nodes; the mux in
     # front of a shared unit must accept every node's sources
@@ -167,5 +179,5 @@ def synthesize_resource(graph: TaskGraph, partition: Partition,
     result.datapath_area_clbs = datapath_area_clbs(result.shared_rtl, fpga)
     # data-path controller: idle + one busy state per node
     result.controller_area_clbs = controller_area_clbs(
-        len(node_names) + 1, fpga)
+        len(node_results) + 1, fpga)
     return result

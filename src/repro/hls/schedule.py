@@ -90,11 +90,12 @@ def alap_schedule(dfg: Dfg, latency_of,
     table = _latency_table(dfg, latency_of)
     horizon = deadline if deadline is not None \
         else asap_schedule(dfg, latency_of).length
+    succs = dfg.successor_map()
     start: dict[int, int] = {}
     for uid in reversed(dfg.topological_order()):
         op = dfg.ops[uid]
         latest = horizon - table[op.category]
-        for succ in dfg.successors(uid):
+        for succ in succs[uid]:
             latest = min(latest, start[succ] - table[op.category])
         if latest < 0:
             raise HlsError(f"deadline {horizon} infeasible for op {uid}")
@@ -114,10 +115,13 @@ def list_schedule_ops(dfg: Dfg, latency_of,
 
     alap = alap_schedule(dfg, latency_of)
     priority = alap.start  # smaller ALAP start = more urgent
+    succs = dfg.successor_map()
 
     start: dict[int, int] = {}
     finished: dict[int, int] = {}
-    remaining = {uid: len(op.inputs) for uid, op in dfg.ops.items()}
+    # distinct inputs: a repeated input is one predecessor, and the
+    # successor map lists its consumer once
+    remaining = {uid: len(set(op.inputs)) for uid, op in dfg.ops.items()}
     ready = sorted([uid for uid, k in remaining.items() if k == 0],
                    key=lambda u: (priority[u], u))
     busy_until: dict[str, list[int]] = {
@@ -144,7 +148,7 @@ def list_schedule_ops(dfg: Dfg, latency_of,
             finished[uid] = step + table[op.category]
             pool[fu] = finished[uid]
             ready.remove(uid)
-            for succ in dfg.successors(uid):
+            for succ in succs[uid]:
                 pending[succ] -= 1
                 if pending[succ] == 0:
                     ready.append(succ)

@@ -3,7 +3,7 @@
 Three sections, all computed from parent links and durations:
 
 * **per-stage breakdown** -- for each span name of kind ``stage``/
-  ``job``/``verify``/``flow``, the run count, cache hits, total time,
+  ``job``/``verify``/``flow``/``repair``, the run count, cache hits, total time,
   and *self time* (duration minus the sum of direct children), the
   number that actually localises a straggler;
 * **critical path** -- from the longest root span, repeatedly descend
@@ -26,7 +26,7 @@ __all__ = ["stage_breakdown", "critical_path", "slowest_spans",
            "render_report"]
 
 #: Span kinds that aggregate by name in the per-stage table.
-_BREAKDOWN_KINDS = ("flow", "stage", "job", "shard", "verify")
+_BREAKDOWN_KINDS = ("flow", "stage", "job", "shard", "verify", "repair")
 
 
 def _as_dicts(spans: Iterable[Any]) -> list[dict]:

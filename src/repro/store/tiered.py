@@ -42,7 +42,12 @@ __all__ = ["CacheTier", "PersistentCache", "TieredCache",
 #: every store key (so old-schema records are simply never looked up)
 #: and stamped into every record header (so a forced lookup still
 #: refuses a cross-version decode).  Bump when the output serialization
-#: or the fingerprint definition changes incompatibly.
+#: or the fingerprint definition changes incompatibly.  Deriving the
+#: fingerprints of hook-less outputs from (stage, signature, key) did
+#: not need a bump: records written with content fingerprints still
+#: carry valid ones, and derived fingerprints are domain-separated
+#: (tagged ``"derived"``), so a store that mixes both only costs misses
+#: and can never alias two different artifacts.
 PIPELINE_CACHE_SCHEMA = 1
 
 #: Highest pickle protocol guaranteed on every supported interpreter;

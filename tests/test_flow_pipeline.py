@@ -1,5 +1,7 @@
 """Tests for the stage-graph pipeline engine and the incremental flow."""
 
+import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -8,11 +10,16 @@ from repro.apps import four_band_equalizer
 from repro.flow import (CoolFlow, FlowContext, PipelineError,
                         PipelineExecutor, Stage, StageCache, fingerprint_of,
                         select_eviction_victim, stage_timer)
+from repro.flow.pipeline import derived_fingerprint
 from repro.graph import TaskGraph, execute
+from repro.hls import driver as hls_driver
+from repro.hls import synthesize_resource
+from repro.obs import Tracer, activate
 from repro.partition import (GreedyPartitioner, MilpPartitioner, Partitioner,
                              PartitioningProblem, evaluate_mapping)
 from repro.platform import (Bus, Fpga, MemoryDevice, TargetArchitecture,
                             cool_board, dsp56001, minimal_board)
+from repro.workloads import RandomDagSpec
 
 
 class TestStageTimer:
@@ -153,6 +160,47 @@ class TestPipelineExecutor:
         fresh.request(ctx2, ["doubled"])
         assert ctx2.get("doubled") == 1000
         assert counter["double"] == 1  # refined value served from cache
+
+    def test_hookless_output_carries_its_derivation(self):
+        executor = PipelineExecutor(_counting_stages({"double": 0,
+                                                      "shout": 0}))
+        ctx = FlowContext(x=21, suffix="?")
+        executor.request(ctx, ["doubled"])
+        assert ctx.fingerprint("doubled") == derived_fingerprint(
+            "double", (ctx.fingerprint("x"),), "doubled")
+        assert ctx.fingerprint("doubled") != fingerprint_of(42)
+
+    def test_hook_bearing_output_keeps_its_content_fingerprint(self):
+        graph = four_band_equalizer(words=8)
+        stage = Stage("copy", ("g",), ("graph",),
+                      lambda ctx: {"graph": ctx.get("g")})
+        ctx = FlowContext(g=graph)
+        PipelineExecutor([stage]).request(ctx, ["graph"])
+        assert ctx.fingerprint("graph") == graph.fingerprint()
+
+    def test_commit_outputs_with_produced_marks_the_stage_fresh(self):
+        cache = StageCache()
+        counter = {"double": 0, "shout": 0}
+        executor = PipelineExecutor(_counting_stages(counter), cache=cache)
+        ctx = FlowContext(x=21, suffix="?")
+        executor.request(ctx, ["doubled"])
+        executor.commit_outputs(ctx, "double", {"doubled": 1000})
+        assert ctx.get("doubled") == 1000
+        assert ctx.fingerprint("doubled") == derived_fingerprint(
+            "double", (ctx.fingerprint("x"),), "doubled")
+        executor.request(ctx, ["shouted"])
+        assert ctx.get("shouted") == "1000!?"
+        assert counter == {"double": 1, "shout": 1}
+        fresh = PipelineExecutor(_counting_stages(counter), cache=cache)
+        ctx2 = FlowContext(x=21, suffix="?")
+        fresh.request(ctx2, ["doubled"])
+        assert ctx2.get("doubled") == 1000
+
+    def test_commit_outputs_needs_every_declared_output(self):
+        executor = PipelineExecutor(_counting_stages({"double": 0,
+                                                      "shout": 0}))
+        with pytest.raises(PipelineError, match="did not produce"):
+            executor.commit_outputs(FlowContext(x=1), "double", {})
 
     def test_commit_outputs_unknown_stage_raises(self):
         executor = PipelineExecutor(_counting_stages({"double": 0,
@@ -330,8 +378,15 @@ class TestAreaRepair:
                                    total_area_clbs=fpga.clb_capacity + 1,
                                    latencies={})
 
+        def still_overflowing(graph_, resource, node_results, fpga):
+            return SimpleNamespace(node_results=dict(node_results),
+                                   total_area_clbs=fpga.clb_capacity + 1,
+                                   latencies={})
+
         monkeypatch.setattr("repro.flow.cool.synthesize_resource",
                             always_overflowing)
+        monkeypatch.setattr("repro.flow.cool.share_datapath",
+                            still_overflowing)
         flow = CoolFlow(arch, partitioner=_AllHardware())
         with pytest.raises(RuntimeError, match="area repair"):
             flow.run(graph)
@@ -398,14 +453,27 @@ class TestAreaRepair:
 
 
 class TestIncrementalReexecution:
-    def test_stg_and_comm_not_rerun_during_area_repair(self):
+    def test_stg_and_comm_not_rerun_during_area_repair(self, monkeypatch):
+        synthesized: dict[tuple[str, str], int] = {}
+        synthesize_node = hls_driver.synthesize_node
+
+        def counting(node, fpga, **kwargs):
+            key = (node.name, fpga.name)
+            synthesized[key] = synthesized.get(key, 0) + 1
+            return synthesize_node(node, fpga, **kwargs)
+
+        monkeypatch.setattr(hls_driver, "synthesize_node", counting)
         graph = four_band_equalizer(words=8)
         flow = CoolFlow(_tiny_fpga_board(2), partitioner=_AllHardware())
         result = flow.run(graph)
         repairs = result.partition_result.stats["area_repairs"]
         assert repairs >= 1
-        # hls re-ran once per repair, co-synthesis ran exactly once
-        assert result.stage_runs["hls"] == repairs + 1
+        # hls ran once and the repairs re-shared its per-node results:
+        # every (node, FPGA) pair was synthesized exactly once
+        assert result.stage_runs["hls"] == 1
+        assert synthesized == {(node.name, "fpga0"): 1
+                               for node in graph.internal_nodes()}
+        # co-synthesis ran exactly once
         assert result.stage_runs["stg"] == 1
         assert result.stage_runs["communication"] == 1
         assert result.stage_runs["codegen"] == 1
@@ -483,3 +551,86 @@ class TestIncrementalReexecution:
                           stage_cache=cache)
         result = second.run(graph)
         assert sum(result.stage_runs.values()) == 0
+
+
+class _SeededSpread(Partitioner):
+    """Seeded random mapping of every internal node onto any resource."""
+
+    name = "seeded_spread"
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def solve(self, problem):
+        rng = random.Random(self.seed)
+        return {node.name: rng.choice(problem.arch.resource_names)
+                for node in problem.graph.internal_nodes()}
+
+
+def _area_repairing_designs():
+    yield "equalizer", four_band_equalizer(words=8), \
+        _tiny_fpga_board(2), _AllHardware()
+    yield "random_80", RandomDagSpec(seed=80, nodes=80).build(), \
+        cool_board(), _SeededSpread(seed=3)
+
+
+class TestIncrementalHls:
+    """The repair loop re-shares kept per-node results; a from-scratch
+    synthesis of the converged partition must give the same datapaths."""
+
+    @pytest.mark.parametrize("label, graph, arch, partitioner",
+                             list(_area_repairing_designs()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_incremental_equals_from_scratch(self, label, graph, arch,
+                                             partitioner):
+        flow = CoolFlow(arch, partitioner=partitioner,
+                        verify_composition=False)
+        result = flow.run(graph)
+        assert result.partition_result.stats["area_repairs"] >= 1, label
+        partition = result.partition_result.partition
+        for fpga in arch.fpgas:
+            incremental = result.hls_results[fpga.name]
+            fresh = synthesize_resource(graph, partition, fpga.name, fpga)
+            assert list(incremental.node_results) == \
+                list(fresh.node_results)
+            for name, node in fresh.node_results.items():
+                assert incremental.node_results[name].rtl == node.rtl
+                assert incremental.node_results[name].area_clbs == \
+                    node.area_clbs
+            assert incremental.shared_rtl == fresh.shared_rtl
+            assert incremental.datapath_area_clbs == \
+                fresh.datapath_area_clbs
+            assert incremental.controller_area_clbs == \
+                fresh.controller_area_clbs
+
+    def test_one_span_per_eviction(self):
+        graph = four_band_equalizer(words=8)
+        flow = CoolFlow(_tiny_fpga_board(2), partitioner=_AllHardware())
+        tracer = Tracer()
+        with activate(tracer):
+            result = flow.run(graph)
+        repairs = result.partition_result.stats["area_repairs"]
+        spans = [s for s in tracer.spans() if s.name == "area_repair"]
+        assert len(spans) == repairs >= 1
+        evicted = set(result.partition_result.partition.sw_nodes())
+        for span in spans:
+            assert span.kind == "repair"
+            attributes = span.attributes
+            assert attributes["device"] == "fpga0"
+            assert attributes["victim"] in evicted
+            assert attributes["clbs_after"] <= attributes["clbs_before"]
+        assert spans[-1].attributes["clbs_after"] == \
+            result.clbs_per_fpga["fpga0"]
+
+    def test_resharing_counts_as_hls_time(self, monkeypatch):
+        share_datapath = hls_driver.share_datapath
+
+        def slow_share(*args):
+            time.sleep(0.02)
+            return share_datapath(*args)
+
+        monkeypatch.setattr("repro.flow.cool.share_datapath", slow_share)
+        flow = CoolFlow(_tiny_fpga_board(2), partitioner=_AllHardware())
+        result = flow.run(four_band_equalizer(words=8))
+        repairs = result.partition_result.stats["area_repairs"]
+        assert result.stage_seconds["hls"] >= 0.02 * repairs

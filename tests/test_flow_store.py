@@ -2,20 +2,27 @@
 
 The contract under test: with a ``store_path``, flow results are
 bit-identical to a storeless run, a *fresh process* (modelled here as a
-fresh flow over a fresh L1) is served from the store without re-running
-any stage, and every artifact type the flow caches round-trips through
-the store to an identical content fingerprint -- which is what makes
-downstream stage signatures match across restarts.
+fresh flow over a fresh L1, and once as a child process under another
+``PYTHONHASHSEED``) is served from the store without re-running any
+stage, and every artifact the flow caches keeps its fingerprint across
+the store -- a hook-bearing artifact round-trips to its content
+fingerprint, a hook-less one carries the derivation of its (stage,
+signature, key) -- which is what makes downstream stage signatures
+match across restarts.
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.apps import four_band_equalizer
 from repro.flow import (ArtifactStore, BatchRunner, CoolFlow, FlowJob,
                         PersistentCache, StageCache, TieredCache)
-from repro.flow.pipeline import CacheTier, fingerprint_of
+from repro.flow.pipeline import CacheTier, derived_fingerprint, fingerprint_of
 from repro.partition import GreedyPartitioner
 from repro.platform import minimal_board
 from repro.store import PIPELINE_CACHE_SCHEMA, cache_key
@@ -207,11 +214,12 @@ class TestStoreBackedFlow:
         assert baseline.cache_stats is not None
         assert "l2" not in baseline.cache_stats
 
-    def test_every_cached_artifact_round_trips_to_its_fingerprint(
+    def test_hooked_artifacts_round_trip_to_content_fingerprints(
             self, tmp_path):
-        # the acceptance property: for every artifact type the flow
-        # caches, deserialize(serialize(value)) fingerprints identically
-        # -- otherwise downstream signatures diverge across restarts
+        # for every artifact type with a fingerprint() hook,
+        # deserialize(serialize(value)) fingerprints identically -- what
+        # lets a re-run that reproduces an equal output keep its
+        # consumers fresh across restarts
         store = ArtifactStore(tmp_path / "store")
         _run(_flow(store.root))
         checked = set()
@@ -220,15 +228,109 @@ class TestStoreBackedFlow:
             rows = pickle.loads(record.payload)
             assert rows, f"record {record.meta} stored no outputs"
             for artifact, value, fingerprint in rows:
+                if not callable(getattr(value, "fingerprint", None)):
+                    continue
                 revived = pickle.loads(pickle.dumps(value))
                 assert fingerprint_of(revived) == fingerprint, \
                     f"artifact {artifact!r} of stage " \
                     f"{record.meta['stage']!r} drifts across the store"
                 checked.add(artifact)
-        # the sweep must have exercised the full artifact surface,
-        # including the arbiter (whose fingerprint once drifted)
-        assert {"arbiter", "plan", "stg", "hls_results", "vhdl_files",
-                "sim_result", "partition_result"} <= checked
+        # the hook-bearing surface, including the arbiter (whose
+        # fingerprint once drifted)
+        assert {"arbiter", "stg", "partition", "schedule", "controller",
+                "partition_result"} <= checked
+
+    def test_hookless_artifacts_carry_their_derivation(self, tmp_path):
+        recording = _RecordingCache()
+        store = ArtifactStore(tmp_path / "store")
+        _run(_flow(store.root, stage_cache=recording))
+        checked = set()
+        for stage, signature, outputs in recording.puts:
+            record = store.get(cache_key(stage, signature))
+            stored = {artifact: fingerprint for artifact, _, fingerprint
+                      in pickle.loads(record.payload)}
+            for artifact, (value, fingerprint) in outputs.items():
+                assert stored[artifact] == fingerprint
+                if callable(getattr(value, "fingerprint", None)):
+                    assert fingerprint == value.fingerprint()
+                else:
+                    assert fingerprint == derived_fingerprint(
+                        stage, signature, artifact)
+                    checked.add(artifact)
+        assert {"validated", "plan", "hls_results", "vhdl_files",
+                "sim_result", "composition_check"} <= checked
+
+    def test_fingerprints_match_under_another_hash_seed(self, tmp_path):
+        recording = _RecordingCache()
+        store_root = tmp_path / "store"
+        _run(_flow(store_root, stage_cache=recording))
+        seed = "7" if os.environ.get("PYTHONHASHSEED") != "7" else "8"
+        child = _in_child(_HASH_SEED_CHILD, seed, str(store_root))
+        assert child["rows"] == _rows(recording)
+        assert child["stage_runs"] == 0, \
+            "a restart under another hash seed must be served the store"
+
+    def test_equal_rerun_output_leaves_downstream_fresh(self, tmp_path):
+        _run(_flow(tmp_path / "store"))
+        # same algorithm, different configuration: the partitioning
+        # stage misses and re-runs, reproduces equal (hook-bearing)
+        # outputs, and every downstream stage is served the store
+        rerun = _run(CoolFlow(minimal_board(),
+                              partitioner=_RelabelledGreedy(),
+                              store_path=tmp_path / "store"))
+        assert rerun.stage_runs["partitioning"] == 1
+        assert sum(rerun.stage_runs.values()) == 1
+
+
+class _RecordingCache(StageCache):
+    """L1 tier that remembers every ``(stage, signature, outputs)`` put."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts = []
+
+    def put(self, stage, signature, outputs):
+        self.puts.append((stage, signature, dict(outputs)))
+        super().put(stage, signature, outputs)
+
+
+class _RelabelledGreedy(GreedyPartitioner):
+    """Greedy partitioning under a different (unused) configuration."""
+
+    def __init__(self):
+        super().__init__()
+        self.label = "relabelled"
+
+
+def _rows(recording):
+    return sorted([stage, list(signature), artifact, fingerprint]
+                  for stage, signature, outputs in recording.puts
+                  for artifact, (_, fingerprint) in outputs.items())
+
+
+_HASH_SEED_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_flow_store import _RecordingCache, _flow, _rows, _run
+recording = _RecordingCache()
+_run(_flow(stage_cache=recording))
+warm = _run(_flow(sys.argv[2]))
+print(json.dumps({"rows": _rows(recording),
+                  "stage_runs": sum(warm.stage_runs.values())}))
+"""
+
+
+def _in_child(script, hash_seed, *args):
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep \
+        + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(__file__), *args],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
 
 
 class TestStoreBackedBatch:

@@ -9,8 +9,9 @@ from repro.hls import (Dfg, HlsError, alap_schedule, allocate_for_latency,
                        allocate_minimal, asap_schedule, bind,
                        datapath_area_clbs, expand_node,
                        force_directed_schedule, list_schedule_ops,
-                       synthesize_node, synthesize_resource)
+                       share_datapath, synthesize_node, synthesize_resource)
 from repro.platform import cool_board, xc4005
+from repro.workloads import workload_suite
 
 
 def fir_node(taps=4, words=8):
@@ -46,6 +47,29 @@ class TestDfg:
         dfg.add_op("add")
         dfg.add_op("mul")
         assert dfg.categories() == {"add": 2, "mul": 1}
+
+    @staticmethod
+    def _brute_force_successors(dfg):
+        return {uid: [op.uid for op in dfg.ops.values() if uid in op.inputs]
+                for uid in dfg.ops}
+
+    def test_successor_map_lists_a_repeated_input_once(self):
+        dfg = Dfg("square")
+        x = dfg.add_op("add")
+        y = dfg.add_op("mul", (x, x))
+        z = dfg.add_op("add", (y, x, y))
+        assert dfg.successor_map() == {x: [y, z], y: [z], z: []}
+        assert dfg.successor_map() == self._brute_force_successors(dfg)
+
+    def test_successor_map_matches_brute_force_on_the_suite(self):
+        dfgs = 0
+        for spec in workload_suite(50, seed=7):
+            for node in spec.build().internal_nodes():
+                dfg = expand_node(node)
+                assert dfg.successor_map() == \
+                    self._brute_force_successors(dfg), node.name
+                dfgs += 1
+        assert dfgs > 800
 
 
 class TestExpand:
@@ -124,6 +148,17 @@ class TestSchedulers:
         forced = force_directed_schedule(fir_dfg, fpga.latency_for)
         # same latency bound, but peak FU demand must not be worse
         assert forced.fu_usage()["mac"] <= asap.fu_usage()["mac"]
+
+
+    def test_list_schedule_with_a_repeated_input(self):
+        # mul(x, x) waits on one predecessor, not two
+        dfg = Dfg("square")
+        x = dfg.add_op("add")
+        y = dfg.add_op("mul", (x, x))
+        dfg.add_op("add", (y, x))
+        sched = list_schedule_ops(dfg, lambda c: 1, {"add": 1, "mul": 1})
+        assert sched.start == {0: 0, 1: 1, 2: 2}
+        assert sched.validate({"add": 1, "mul": 1}) == []
 
 
 class TestAllocation:
@@ -252,6 +287,32 @@ class TestSynthesizeResource:
                                      arch.fpga("fpga0"))
         assert set(shared.latencies) == set(hw)
         assert all(v >= 1 for v in shared.latencies.values())
+
+    def test_resharing_kept_results_equals_fresh_synthesis(self):
+        # removing a node from a resource and re-sharing the results
+        # kept for the others is what HLS area repair relies on
+        graph = fuzzy_controller()
+        arch = cool_board()
+        fpga = arch.fpga("fpga0")
+        hw = ["rule00", "rule01", "rule02", "rule10"]
+
+        def partition_of(names):
+            mapping = {n.name: ("fpga0" if n.name in names else "dsp0")
+                       for n in graph.internal_nodes()}
+            return from_mapping(graph, mapping, arch.fpga_names,
+                                arch.processor_names)
+
+        full = synthesize_resource(graph, partition_of(hw), "fpga0", fpga)
+        kept = {name: result for name, result in full.node_results.items()
+                if name != "rule01"}
+        reshared = share_datapath(graph, "fpga0", kept, fpga)
+        fresh = synthesize_resource(graph, partition_of(set(hw) - {"rule01"}),
+                                    "fpga0", fpga)
+        assert list(reshared.node_results) == list(fresh.node_results)
+        assert reshared.shared_rtl == fresh.shared_rtl
+        assert reshared.datapath_area_clbs == fresh.datapath_area_clbs
+        assert reshared.controller_area_clbs == fresh.controller_area_clbs
+        assert reshared.total_area_clbs < full.total_area_clbs
 
     def test_empty_resource(self):
         graph = fuzzy_controller()
