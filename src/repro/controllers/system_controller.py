@@ -235,6 +235,8 @@ class ControllerHarness:
         self.controller = controller
         components, config = controller_composition(controller)
         self._composition = SynchronousComposition(components, config)
+        #: phase-FSM index of the done state (``None``: unreachable)
+        self._done_index = components[0].index_of(PHASE_DONE_STATE)
 
     # ------------------------------------------------------------------
     @property
@@ -268,7 +270,7 @@ class ControllerHarness:
 
     @property
     def system_done(self) -> bool:
-        return self.phase_state == PHASE_DONE_STATE
+        return self._composition.states[0] == self._done_index
 
     def configuration(self) -> tuple:
         """Hashable snapshot of the composite configuration."""

@@ -26,7 +26,8 @@ __all__ = ["stage_breakdown", "critical_path", "slowest_spans",
            "render_report"]
 
 #: Span kinds that aggregate by name in the per-stage table.
-_BREAKDOWN_KINDS = ("flow", "stage", "job", "shard", "verify", "repair")
+_BREAKDOWN_KINDS = ("flow", "stage", "job", "shard", "verify", "repair",
+                    "sim")
 
 
 def _as_dicts(spans: Iterable[Any]) -> list[dict]:

@@ -97,6 +97,23 @@ class BusModel:
                 self.granted_bursts += 1
         return completed
 
+    def grant_ready(self) -> bool:
+        """True when the next :meth:`step` grants a pending burst
+        without completing one first (the bus is free and some request
+        is grantable).  Grantability only changes when a burst
+        completes, so a bus that is not grant-ready stays so until its
+        active burst ends."""
+        return self.active is None \
+            and any(self._grantable(r) for r in self.pending)
+
+    def advance(self, ticks: int) -> None:
+        """``ticks`` calls of :meth:`step` that neither complete nor
+        grant a burst, in one update (the caller checks ``ticks <
+        remaining`` and not :meth:`grant_ready`)."""
+        if self.active is not None:
+            self.busy_ticks += ticks
+            self.remaining -= ticks
+
     @property
     def idle(self) -> bool:
         return self.active is None and not self.pending

@@ -12,6 +12,18 @@ statement of the whole reproduction.
 Timing base: one simulation tick = one bus clock cycle (the CostModel
 time unit), so simulated makespans are directly comparable with the
 static schedule.
+
+Time advances to the next event.  :meth:`CoSimulation.step` is the
+one-tick primitive; :meth:`CoSimulation.run` covers a stretch of ticks
+in one update when nothing can happen in it: no done pulse is pending,
+the controller is quiescent (its last input-free cycle emitted nothing
+and left its configuration unchanged -- a cycle is a pure function of
+configuration and inputs, so every further input-free cycle is the same
+no-op) and the bus cannot grant.  Then the only thing that changes the
+system is the nearest completion of a bus burst, a direct transfer or a
+computing unit; every tick before it just counts down, which the bulk
+update does exactly.  The tick that completes is stepped as usual, so
+results, traces and action logs equal plain tick stepping.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from ..controllers.system_controller import (ControllerHarness,
 from ..estimate.model import CostModel
 from ..graph.partition import Partition
 from ..graph.taskgraph import TaskGraph
+from ..obs import span as obs_span
 from ..platform.architecture import TargetArchitecture
 from ..schedule.schedule import Schedule
 from .bus import BusModel, BusRequest
@@ -36,6 +49,10 @@ __all__ = ["CoSimulation", "SimResult"]
 
 #: Direct-channel register transfer: fixed latency in ticks.
 DIRECT_TRANSFER_TICKS = 2
+
+#: Ticks without progress after which :meth:`CoSimulation.run` reports
+#: a deadlock.
+STALL_LIMIT = 50_000
 
 
 @dataclass
@@ -68,7 +85,8 @@ class _DirectTransfer:
 
 
 class CoSimulation:
-    """Cycle-stepped simulation of one synthesized implementation."""
+    """Next-event simulation of one synthesized implementation (see the
+    module docstring for why skipping event-free ticks is exact)."""
 
     def __init__(self, graph: TaskGraph, partition: Partition,
                  schedule: Schedule, plan: CommPlan,
@@ -122,6 +140,8 @@ class CoSimulation:
         self.cycles = 0
         self._edge_by_name = {e.name: e for e in graph.edges}
         self._pending_done: set[str] = set()
+        #: the harness's last cycle was an input-free no-op
+        self._quiescent = False
         self.trace: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------
@@ -181,7 +201,10 @@ class CoSimulation:
         """Advance the whole system by one bus tick."""
         done_signals = {f"done_{n}" for n in self._pending_done}
         self._pending_done.clear()
+        before = None if done_signals else self.harness.configuration()
         actions = self.harness.cycle(done_signals)
+        self._quiescent = (before is not None and not actions
+                           and self.harness.configuration() == before)
         for action in actions:
             self._handle_action(action)
 
@@ -212,27 +235,72 @@ class CoSimulation:
                 self.trace.append((self.cycles, f"done_{finished}"))
         self.cycles += 1
 
+    def _idle_ticks(self, budget: int, last_progress: int) -> int:
+        """How many ticks from now are event-free (0: step the next one).
+
+        Nonzero only while no done pulse is pending, the controller is
+        quiescent and the bus cannot grant.  The count stops one tick
+        before the nearest completion, at ``budget`` and, when nothing
+        makes progress, at the tick where :meth:`run` reports the
+        deadlock -- so a system that can never complete again reaches
+        that report in one jump.
+        """
+        if not self._quiescent or self._pending_done \
+                or self.bus.grant_ready():
+            return 0
+        horizons = [t.remaining for t in self.direct_in_flight]
+        horizons += [u.active.remaining for u in self.units.values()
+                     if u.computing]
+        if self.bus.active is not None:
+            horizons.append(self.bus.remaining)
+        ticks = min(horizons) - 1 if horizons else budget
+        if not self._active_work():
+            ticks = min(ticks, last_progress + STALL_LIMIT + 1 - self.cycles)
+        return max(0, min(ticks, budget))
+
+    def _advance(self, ticks: int) -> None:
+        """``ticks`` event-free calls of :meth:`step` in one update."""
+        self.bus.advance(ticks)
+        for transfer in self.direct_in_flight:
+            transfer.remaining -= ticks
+        for unit in self.units.values():
+            unit.advance(ticks)
+        self.cycles += ticks
+
+    def _active_work(self) -> bool:
+        return self.bus.active is not None \
+            or any(u.computing for u in self.units.values())
+
     def run(self, max_cycles: int = 1_000_000) -> SimResult:
-        """Run one activation to the controller's done state."""
-        stall_window = 0
-        last_progress = self.cycles
-        while not self.harness.system_done:
-            if self.cycles >= max_cycles:
-                raise SimError(f"simulation exceeded {max_cycles} cycles")
-            before = len(self.trace)
-            self.step()
-            active_work = (self.bus.active is not None
-                           or any(u.active is not None
-                                  and not u.active.waiting_for
-                                  for u in self.units.values()))
-            if len(self.trace) > before or active_work \
-                    or self._pending_done:
-                last_progress = self.cycles
-            stall_window = self.cycles - last_progress
-            if stall_window > 50_000:
-                raise SimError(
-                    f"deadlock: no progress since cycle {last_progress}")
-        # final cycles let the controller observe the last done pulses
+        """Run one activation to the controller's done state, advancing
+        to the next event (module docstring)."""
+        start = self.cycles
+        stepped = 0
+        with obs_span("cosim", kind="sim") as sim_span:
+            last_progress = self.cycles
+            while not self.harness.system_done:
+                if self.cycles >= max_cycles:
+                    raise SimError(f"simulation exceeded {max_cycles} cycles")
+                before = len(self.trace)
+                idle = self._idle_ticks(max_cycles - self.cycles,
+                                        last_progress)
+                if idle:
+                    self._advance(idle)
+                else:
+                    self.step()
+                    stepped += 1
+                if len(self.trace) > before or self._active_work() \
+                        or self._pending_done:
+                    last_progress = self.cycles
+                if self.cycles - last_progress > STALL_LIMIT:
+                    raise SimError(
+                        f"deadlock: no progress since cycle {last_progress}")
+            sim_span.set("cycles", self.cycles - start)
+            sim_span.set("stepped_ticks", stepped)
+        return self.result()
+
+    def result(self) -> SimResult:
+        """Outputs and counters of the simulation so far."""
         outputs = {}
         for unit in self.units.values():
             outputs.update(unit.outputs)
@@ -267,6 +335,7 @@ class CoSimulation:
         self.bus.read_edges.clear()
         self.direct_in_flight.clear()
         self._pending_done.clear()
+        self._quiescent = False
         actions = self.harness.cycle(external={"restart"})
         for action in actions:
             self._handle_action(action)
@@ -286,9 +355,9 @@ class CoSimulation:
         here -- phase FSM done -> reset -> run, flag-register clear,
         ``go`` re-arming -- is the same one
         :func:`repro.controllers.verify.verify_composition` proves
-        equivalent to a fresh STG activation (the bisimulation tier's
-        restart loop), so streamed blocks compute exactly what cold
-        activations would.
+        equivalent to a fresh STG activation (the symbolic tier's
+        restart edge, ``_RESTART`` in :mod:`repro.controllers.verify`),
+        so streamed blocks compute exactly what cold activations would.
         """
         results: list[SimResult] = []
         for index, block in enumerate(blocks):

@@ -106,6 +106,20 @@ class UnitSim:
                     for v in self.stimuli[node_name]]
         return evaluate_node(node, self._gather_inputs(node_name))
 
+    @property
+    def computing(self) -> bool:
+        """An active node has all operands and counts down its latency."""
+        return self.active is not None and not self.active.waiting_for
+
+    def advance(self, ticks: int) -> None:
+        """``ticks`` calls of :meth:`step` that do not complete the
+        active node, in one update (the caller checks ``ticks <
+        active.remaining``)."""
+        if self.computing:
+            self.active.started_compute = True
+            self.busy_ticks += ticks
+            self.active.remaining -= ticks
+
     def step(self) -> str | None:
         """One tick; returns a completed node name when done fires."""
         if self.active is None:

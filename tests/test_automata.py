@@ -9,6 +9,7 @@ from repro.automata import (AutomataError, AutomatonBuilder,
                             encode_names, internal_signals,
                             minimize_automaton, reachable_automaton,
                             refine_partition, synchronous_product)
+from repro.automata.product import composition_stepper
 
 
 def chain_automaton():
@@ -381,6 +382,20 @@ class TestSynchronousComposition:
         open_edges = [t for t in open_product.transitions
                       if open_kick in t.conditions]
         assert len(kick_edges) < len(open_edges)
+
+
+class TestCompositionStepper:
+    def test_empty_letter_advances_restored_configuration_after_idle(self):
+        # the stepper replays one scratch composition; an idle cycle on
+        # it must not make the next empty-letter step from another
+        # configuration a no-op (quiescence belongs to the caller)
+        initial, step = composition_stepper(ping_pong())
+        assert step(initial, frozenset()) == (initial, ())
+        kicked, _ = step(initial, frozenset({"kick"}))
+        assert step(initial, frozenset()) == (initial, ())
+        successor, actions = step(kicked, frozenset())
+        assert actions == ("work",)
+        assert SynchronousComposition.component_states(successor) == (1, 1)
 
 
 class TestReachableAutomaton:

@@ -3,6 +3,7 @@ reference interpreter computes -- the end-to-end correctness statement
 of the reproduction."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,10 @@ from repro.comm import refine_communication
 from repro.controllers import synthesize_system_controller
 from repro.estimate import CostModel
 from repro.graph import execute, from_mapping, to_signed
+from repro.obs import Tracer, activate, stage_breakdown
 from repro.platform import cool_board, minimal_board
 from repro.schedule import list_schedule
-from repro.sim import CoSimulation, SimError
+from repro.sim import CoSimulation, SimError, system
 from repro.stg import build_stg, minimize_stg
 
 
@@ -176,21 +178,29 @@ class TestFuzzyCosim:
         assert to_signed(result.outputs["u"][0], 16) < 0
 
 
+def random_system(n, gseed, pseed, arch):
+    """A random task graph spread over ``arch`` with random stimuli."""
+    graph = random_task_graph(n, seed=gseed)
+    rng = random.Random(pseed)
+    mapping = {node.name: rng.choice(arch.resource_names)
+               for node in graph.internal_nodes()}
+    stimuli = {node.name: [rng.randrange(0, 1 << 15)
+                           for _ in range(node.words)]
+               for node in graph.inputs()}
+    sim, _, _ = build_system(graph, arch, mapping, stimuli=stimuli)
+    return graph, sim, stimuli
+
+
+system_sizes = st.integers(min_value=8, max_value=24)
+seeds = st.integers(min_value=0, max_value=300)
+boards = st.sampled_from([minimal_board, cool_board])
+
+
 class TestCosimPropertyBased:
     @settings(max_examples=8, deadline=None)
-    @given(st.integers(min_value=8, max_value=24),
-           st.integers(min_value=0, max_value=300),
-           st.integers(min_value=0, max_value=300))
+    @given(system_sizes, seeds, seeds)
     def test_random_systems_match_reference(self, n, gseed, pseed):
-        graph = random_task_graph(n, seed=gseed)
-        arch = cool_board()
-        rng = random.Random(pseed)
-        mapping = {node.name: rng.choice(arch.resource_names)
-                   for node in graph.internal_nodes()}
-        stimuli = {node.name: [rng.randrange(0, 1 << 15)
-                               for _ in range(node.words)]
-                   for node in graph.inputs()}
-        sim, _, _ = build_system(graph, arch, mapping, stimuli=stimuli)
+        graph, sim, stimuli = random_system(n, gseed, pseed, cool_board())
         result = sim.run()
         expected = execute(graph, stimuli)
         for out in graph.outputs():
@@ -206,3 +216,134 @@ class TestCosimPropertyBased:
         assert result.cycles > 0
         assert all(v >= 0 for v in result.unit_busy_ticks.values())
         assert result.memory_reads >= 0
+
+
+def tick_run(sim, max_cycles=1_000_000):
+    """Reference loop: :meth:`CoSimulation.step` one tick at a time,
+    with the progress and deadlock rules of :meth:`CoSimulation.run`."""
+    last_progress = sim.cycles
+    while not sim.harness.system_done:
+        if sim.cycles >= max_cycles:
+            raise SimError(f"simulation exceeded {max_cycles} cycles")
+        before = len(sim.trace)
+        sim.step()
+        active_work = sim.bus.active is not None or any(
+            u.active is not None and not u.active.waiting_for
+            for u in sim.units.values())
+        if len(sim.trace) > before or active_work:
+            last_progress = sim.cycles
+        if sim.cycles - last_progress > system.STALL_LIMIT:
+            raise SimError(
+                f"deadlock: no progress since cycle {last_progress}")
+    return sim.result()
+
+
+def tick_stream(sim, blocks):
+    results = []
+    for index, block in enumerate(blocks):
+        if index > 0:
+            sim.restart(block)
+        results.append(tick_run(sim))
+    return results
+
+
+def observed(sim):
+    """Everything a run leaves behind that tick stepping must match."""
+    return (sim.cycles, sim.bus.busy_ticks, sim.trace,
+            sim.harness.actions_log)
+
+
+def block_writes(sim):
+    """Sabotage: no bus write is ever granted, so any bus-carried edge
+    starves its consumer -- a built-in deadlock."""
+    sim.bus.write_interlocks = {e.name: {"<never read>"}
+                                for e in sim.graph.edges}
+
+
+def outcome(run):
+    try:
+        return run()
+    except SimError as exc:
+        return f"SimError: {exc}"
+
+
+class TestNextEventAdvance:
+    """``run()`` jumps over event-free ticks; it must be exactly the
+    tick-by-tick loop over ``step()``."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(system_sizes, seeds, seeds, boards)
+    def test_run_equals_tick_stepping(self, n, gseed, pseed, board):
+        _, fast, _ = random_system(n, gseed, pseed, board())
+        _, slow, _ = random_system(n, gseed, pseed, board())
+        assert fast.run() == tick_run(slow)
+        assert observed(fast) == observed(slow)
+
+    @settings(max_examples=6, deadline=None)
+    @given(system_sizes, seeds, seeds, boards)
+    def test_run_stream_equals_tick_stepping(self, n, gseed, pseed, board):
+        graph, fast, first = random_system(n, gseed, pseed, board())
+        _, slow, _ = random_system(n, gseed, pseed, board())
+        rng = random.Random(pseed + 1)
+        blocks = [first] + [{node.name: [rng.randrange(0, 1 << 15)
+                                         for _ in range(node.words)]
+                             for node in graph.inputs()}
+                            for _ in range(2)]
+        assert fast.run_stream(blocks) == tick_stream(slow, blocks)
+        assert observed(fast) == observed(slow)
+
+    @settings(max_examples=6, deadline=None)
+    @given(system_sizes, seeds, seeds, st.integers(min_value=3, max_value=40))
+    def test_slow_direct_channels_equal_tick_stepping(self, n, gseed, pseed,
+                                                      ticks):
+        # a 2-tick transfer always lands before the controller settles;
+        # slower ones are in flight across event-free stretches
+        with mock.patch.object(system, "DIRECT_TRANSFER_TICKS", ticks):
+            _, fast, _ = random_system(n, gseed, pseed, cool_board())
+            _, slow, _ = random_system(n, gseed, pseed, cool_board())
+            assert fast.run() == tick_run(slow)
+        assert observed(fast) == observed(slow)
+
+    @settings(max_examples=6, deadline=None)
+    @given(system_sizes, seeds, seeds, boards,
+           st.integers(min_value=50, max_value=400))
+    def test_cycle_budget_equals_tick_stepping(self, n, gseed, pseed, board,
+                                               budget):
+        _, fast, _ = random_system(n, gseed, pseed, board())
+        _, slow, _ = random_system(n, gseed, pseed, board())
+        for sim in (fast, slow):
+            block_writes(sim)
+        assert outcome(lambda: fast.run(max_cycles=budget)) \
+            == outcome(lambda: tick_run(slow, max_cycles=budget))
+        assert observed(fast) == observed(slow)
+
+    def test_deadlock_equals_tick_stepping_in_one_jump(self):
+        graph = four_band_equalizer(words=8)
+        mapping = {"band0": "fpga0", "gain0": "fpga0"}
+        fast, _, _ = build_system(graph, minimal_board(), mapping)
+        slow, _, _ = build_system(graph, minimal_board(), mapping)
+        for sim in (fast, slow):
+            block_writes(sim)
+        steps = []
+        step = fast.step
+        fast.step = lambda: (steps.append(None), step())
+        error = outcome(fast.run)
+        assert error.startswith("SimError: deadlock: no progress since")
+        assert error == outcome(lambda: tick_run(slow))
+        assert observed(fast) == observed(slow)
+        assert fast.cycles > system.STALL_LIMIT and len(steps) < 100
+
+    def test_run_opens_one_sim_span(self):
+        graph = four_band_equalizer(words=8)
+        sim, _, _ = build_system(graph, cool_board(),
+                                 {"band0": "fpga0", "gain0": "fpga1"})
+        tracer = Tracer()
+        with activate(tracer):
+            result = sim.run()
+        (span,) = [s for s in tracer.spans() if s.kind == "sim"]
+        assert span.name == "cosim"
+        assert span.attributes["cycles"] == result.cycles
+        assert 0 < span.attributes["stepped_ticks"] < result.cycles
+        rows = [row for row in stage_breakdown(tracer.spans())
+                if row["kind"] == "sim"]
+        assert [row["name"] for row in rows] == ["cosim"]

@@ -105,6 +105,32 @@ class TestBusModel:
         assert bus.stats()["granted_bursts"] == 1
 
 
+    def test_grant_ready_only_for_a_free_bus_with_a_grantable_burst(self):
+        bus = BusModel(FixedPriorityArbiter(["a"]))
+        bus.request(BusRequest("e1", "read", "a", 1))
+        assert not bus.grant_ready()  # read of an unwritten edge
+        bus.request(BusRequest("e1", "write", "a", 3, [1]))
+        assert bus.grant_ready()
+        bus.step()
+        assert not bus.grant_ready()  # busy with the write
+
+    def test_advance_equals_steps(self):
+        stepped = BusModel(FixedPriorityArbiter(["a"]))
+        advanced = BusModel(FixedPriorityArbiter(["a"]))
+        for bus in (stepped, advanced):
+            bus.request(BusRequest("e1", "write", "a", 6, [1]))
+            bus.step()
+        for _ in range(4):
+            assert stepped.step() is None
+        advanced.advance(4)
+        assert (advanced.busy_ticks, advanced.remaining) \
+            == (stepped.busy_ticks, stepped.remaining) == (4, 2)
+        assert advanced.step() is None and stepped.step() is None
+        assert advanced.step().edge == stepped.step().edge == "e1"
+        advanced.advance(3)  # an idle bus stays idle
+        assert advanced.busy_ticks == 6
+
+
 class TestUnitSim:
     def graph(self):
         g = TaskGraph("t")
@@ -133,6 +159,24 @@ class TestUnitSim:
             assert unit.step() is None  # stalled: operand missing
         unit.deliver("in0__to__g_p0", [4, 4])
         assert unit.step() == "g"
+
+    def test_advance_equals_steps(self):
+        g = self.graph()
+        stepped = UnitSim("cpu", g, {"g": 5})
+        advanced = UnitSim("cpu", g, {"g": 5})
+        for unit in (stepped, advanced):
+            unit.start("g", {"in0__to__g_p0"})
+        advanced.advance(3)  # stalled on its operand: no compute ticks
+        assert advanced.busy_ticks == 0 and not advanced.computing
+        for unit in (stepped, advanced):
+            unit.deliver("in0__to__g_p0", [1, 2])
+        for _ in range(4):
+            assert stepped.step() is None
+        advanced.advance(4)
+        assert advanced.computing and advanced.active.started_compute
+        assert (advanced.busy_ticks, advanced.active.remaining) \
+            == (stepped.busy_ticks, stepped.active.remaining) == (4, 1)
+        assert advanced.step() == stepped.step() == "g"
 
     def test_double_start_rejected(self):
         g = self.graph()
