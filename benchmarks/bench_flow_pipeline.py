@@ -3,8 +3,8 @@
 Three measurements, persisted to ``BENCH_flow_pipeline.json`` at the
 repo root so later PRs have a perf trajectory to beat:
 
-* ``cold_run_s`` -- a full flow on an empty stage cache (what the old
-  monolithic ``CoolFlow.run`` always cost);
+* ``cold_run_s`` -- a full flow, co-simulation included, on an empty
+  stage cache (what the old monolithic ``CoolFlow.run`` always cost);
 * ``warm_run_s`` -- the same flow again on the same (graph, arch) pair:
   every stage is served from the cross-run stage cache;
 * ``batch`` -- a partitioner x architecture sweep through
@@ -21,9 +21,13 @@ from repro.apps import four_band_equalizer, fuzzy_controller
 from repro.flow import BatchRunner, CoolFlow, FlowJob
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
+from repro.workloads import stimuli_for
 
 RESULTS_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_flow_pipeline.json"
+
+#: Stimulus seed: every flow co-simulates, so all nine stages run cold.
+STIMULI_SEED = 1
 
 WORKERS = 2
 
@@ -36,20 +40,23 @@ def _sweep_jobs():
         for partitioner in (GreedyPartitioner(), MilpPartitioner()):
             for graph in (equalizer, fuzzy):
                 jobs.append(FlowJob(graph=graph, arch=arch,
-                                    partitioner=partitioner))
+                                    partitioner=partitioner,
+                                    stimuli=stimuli_for(graph,
+                                                        STIMULI_SEED)))
     return jobs
 
 
 def measure():
     graph = four_band_equalizer(words=8)
+    stimuli = stimuli_for(graph, STIMULI_SEED)
     flow = CoolFlow(minimal_board(), partitioner=GreedyPartitioner())
 
     started = time.perf_counter()
-    cold = flow.run(graph)
+    cold = flow.run(graph, stimuli)
     cold_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    warm = flow.run(graph)
+    warm = flow.run(graph, stimuli)
     warm_s = time.perf_counter() - started
 
     backends = {}

@@ -6,7 +6,8 @@ number that decides whether that design is acceptable is the overhead
 of (a) the disabled fast path and (b) a fully-collected trace.  Writes
 ``BENCH_obs_overhead.json`` at the repo root:
 
-* ``overhead_gate`` -- the workload suite through the serial backend,
+* ``overhead_gate`` -- the workload suite, with stimuli so that every
+  flow co-simulates, through the serial backend,
   instrumented (``activate(Tracer())``) vs uninstrumented
   (``activate(None)``), interleaved design by design in ``REPEATS``
   passes after one warm-up pass (see :func:`measure_overhead`).  Every
@@ -46,7 +47,7 @@ from repro.obs import (Tracer, activate, load_trace, render_report,
                        write_trace)
 from repro.partition import GreedyPartitioner
 from repro.platform import minimal_board
-from repro.workloads import workload_suite
+from repro.workloads import stimuli_for, workload_suite
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_PATH = REPO_ROOT / "BENCH_obs_overhead.json"
@@ -71,8 +72,11 @@ PROCESS_MEMOS = ("_STEP_SYSTEM_CACHE", "_PRODUCT_CACHE")
 
 def _jobs(n_designs: int, seed: int):
     arch = minimal_board()
+    # stimuli make every flow co-simulate, so the cosim stage and its
+    # ``sim`` spans are inside the measured overhead
     return [FlowJob(workload=spec, arch=arch,
-                    partitioner=GreedyPartitioner())
+                    partitioner=GreedyPartitioner(),
+                    stimuli=stimuli_for(spec.build(), seed))
             for spec in workload_suite(n_designs, seed=seed)]
 
 

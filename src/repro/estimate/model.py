@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from ..graph.partition import IO_RESOURCE
 from ..graph.taskgraph import DataEdge, TaskGraph, TaskNode
 from ..platform.architecture import TargetArchitecture
 from . import communication, hardware, software
 
-__all__ = ["CostModel", "NodeCost"]
+__all__ = ["CostModel", "NodeCost", "ScheduleTables"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,31 @@ class NodeCost:
         raise KeyError(f"no area estimate of {self.node!r} on {fpga!r}")
 
 
+@dataclass(frozen=True)
+class ScheduleTables:
+    """A task graph's list-scheduling costs, compiled into dense tables.
+
+    Every per-node sequence is indexed by position in ``names``, the
+    graph's topological order.  Built once per :class:`CostModel` by
+    :meth:`CostModel.schedule_tables`; the list scheduler then reads
+    ints and tuples on every trial instead of querying the model per
+    node and edge.
+    """
+
+    #: the graph fingerprint the tables were compiled from
+    graph_fingerprint: str
+    #: node names in topological order
+    names: tuple
+    #: per node: resource name -> execution latency in bus ticks
+    #: (I/O nodes: the I/O controller only, their latency is fixed)
+    latency: tuple
+    #: per node: in-edges by input port as
+    #: (source index, edge name, write ticks, read ticks)
+    in_edges: tuple
+    #: per node: out-edges in insertion order as (target index, transfer ticks)
+    out_edges: tuple
+
+
 class CostModel:
     """Per-(node, resource) execution/area/communication estimates.
 
@@ -55,6 +81,9 @@ class CostModel:
         self.arch = arch
         self._node_cache: dict[str, NodeCost] = {}
         self._edge_cache: dict[str, int] = {}
+        # lazy: compiled on the first list schedule, recompiled only if
+        # the graph changed since (see schedule_tables)
+        self._schedule_tables: ScheduleTables | None = None
 
     # ------------------------------------------------------------------
     def _to_ticks(self, cycles: int, clock_hz: float) -> int:
@@ -109,6 +138,41 @@ class CostModel:
 
     def read_ticks(self, edge: DataEdge) -> int:
         return communication.read_cycles(edge, self.arch)
+
+    def schedule_tables(self) -> ScheduleTables:
+        """The graph's scheduling costs as dense tables (built once).
+
+        Raises :class:`repro.graph.GraphError` for a cyclic graph.
+        """
+        fingerprint = self.graph.fingerprint()
+        tables = self._schedule_tables
+        if tables is None or tables.graph_fingerprint != fingerprint:
+            tables = self._schedule_tables = self._compile_tables(fingerprint)
+        return tables
+
+    def _compile_tables(self, fingerprint: str) -> ScheduleTables:
+        graph = self.graph
+        names = graph.topological_order()
+        index = {name: i for i, name in enumerate(names)}
+        latency: list[dict[str, int]] = [{} for _ in names]
+        in_edges: list[tuple] = [()] * len(names)
+        out_edges: list[tuple] = [()] * len(names)
+        for i in reversed(range(len(names))):
+            name = names[i]
+            node = graph.node(name)
+            if node.is_io:
+                latency[i][IO_RESOURCE] = self.latency(name, IO_RESOURCE)
+            else:
+                for resource, ticks in self.node_cost(name).latency_ticks:
+                    # first entry wins, as in NodeCost.latency_on
+                    latency[i].setdefault(resource, ticks)
+            out_edges[i] = tuple((index[e.dst], self.transfer_ticks(e))
+                                 for e in graph.out_edges(name))
+            in_edges[i] = tuple((index[e.src], e.name, self.write_ticks(e),
+                                 self.read_ticks(e))
+                                for e in graph.in_edges(name))
+        return ScheduleTables(fingerprint, tuple(names), tuple(latency),
+                              tuple(in_edges), tuple(out_edges))
 
     # ------------------------------------------------------------------
     def software_bound(self, processor: str | None = None) -> int:

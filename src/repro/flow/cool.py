@@ -493,6 +493,9 @@ class CoolFlow:
             result = self._run(graph, stimuli, deadline)
             flow_span.set("stages_run", sum(result.stage_runs.values()))
             flow_span.set("cache_hits", result.cache_stats.get("hits", 0))
+            trials = result.partition_result.stats.get("evaluations")
+            if trials is not None:
+                flow_span.set("partition_trials", trials)
             return result
 
     def _run(self, graph: TaskGraph,

@@ -9,6 +9,7 @@ not scheduled).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = ["DfgOp", "Dfg", "HlsError"]
@@ -66,15 +67,19 @@ class Dfg:
         return counts
 
     def topological_order(self) -> list[int]:
-        indeg = {uid: len(op.inputs) for uid, op in self.ops.items()}
-        succs: dict[int, list[int]] = {uid: [] for uid in self.ops}
-        for op in self.ops.values():
-            for dep in op.inputs:
-                succs[dep].append(op.uid)
-        ready = sorted(uid for uid, d in indeg.items() if d == 0)
+        """Kahn order: sources by uid, then first-in first-out.
+
+        Linear time: a ``deque`` queue and :meth:`successor_map`.  A
+        repeated input counts once, in the in-degree and in the
+        successor list alike, which releases each op at the same point
+        as counting every repetition.
+        """
+        succs = self.successor_map()
+        indeg = {uid: len(set(op.inputs)) for uid, op in self.ops.items()}
+        ready = deque(sorted(uid for uid, d in indeg.items() if d == 0))
         order: list[int] = []
         while ready:
-            uid = ready.pop(0)
+            uid = ready.popleft()
             order.append(uid)
             for succ in succs[uid]:
                 indeg[succ] -= 1

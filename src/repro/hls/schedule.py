@@ -9,10 +9,32 @@ A schedule maps every DFG operation to a start step; an operation of
 category ``c`` occupies one unit of the ``c`` functional-unit pool for
 ``latency(c)`` consecutive steps (units are not pipelined here --
 conservative, and matching the datapath controller's step counting).
+
+:func:`list_schedule_ops` runs in every HLS call, so it is event
+driven.  Its priority is the ALAP start at the ASAP horizon, from one
+forward and one reverse pass over the topological order.  It keeps
+three kinds of heap:
+
+* per category, the eligible ops keyed ``(ALAP start, uid)``;
+* per category, the free times of the category's FUs;
+* one heap of released ops that are not eligible yet, keyed by the
+  step they become eligible.  An op whose last predecessor is placed
+  in step ``s`` is eligible from ``max(data ready, s + 1)``: a step
+  only considers ops that were ready when it began (this matters only
+  for 0-latency categories).
+
+Time then jumps to the next event: the earliest waiting op or the
+earliest FU release of a category with eligible ops.  This equals
+stepping every cycle and scanning every ready op, because categories
+never share FUs (the order in which categories are served within a
+step cannot matter), an idle step changes nothing, and the output is
+start times only: which FU an op took never leaves the scheduler, since
+:func:`repro.hls.binding.bind` re-derives FU indices by left-edge.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .dfg import Dfg, HlsError
@@ -103,9 +125,43 @@ def alap_schedule(dfg: Dfg, latency_of,
     return HlsSchedule(dfg, start, table)
 
 
+def _alap_priority(dfg: Dfg, table: dict[str, int],
+                   succs: dict[int, list[int]]) -> dict[int, int]:
+    """ALAP start of every op at the ASAP horizon (smaller = more urgent).
+
+    The same numbers as ``alap_schedule(dfg, latency_of).start`` from
+    one forward pass (ASAP finish times, whose maximum is the horizon)
+    and one reverse pass, without building either schedule.
+    """
+    ops = dfg.ops
+    order = dfg.topological_order()
+    finish: dict[int, int] = {}
+    for uid in order:
+        op = ops[uid]
+        finish[uid] = max((finish[d] for d in op.inputs), default=0) \
+            + table[op.category]
+    horizon = max(finish.values(), default=0)
+    latest: dict[int, int] = {}
+    for uid in reversed(order):
+        bound = horizon
+        for succ in succs[uid]:
+            if latest[succ] < bound:
+                bound = latest[succ]
+        latest[uid] = bound - table[ops[uid].category]
+        if latest[uid] < 0:
+            raise HlsError(f"deadline {horizon} infeasible for op {uid}")
+    return latest
+
+
 def list_schedule_ops(dfg: Dfg, latency_of,
                       fu_limits: dict[str, int]) -> HlsSchedule:
-    """Resource-constrained list scheduling, priority = ALAP urgency."""
+    """Resource-constrained list scheduling, priority = ALAP urgency.
+
+    Each step, every category starts its most urgent data-ready ops
+    (ties on uid) on its free FUs; an op released by a predecessor
+    placed in step ``s`` competes from step ``s + 1`` on.  Time jumps
+    from one event to the next (see the module docstring).
+    """
     table = _latency_table(dfg, latency_of)
     missing = set(table) - set(fu_limits)
     if missing:
@@ -113,51 +169,57 @@ def list_schedule_ops(dfg: Dfg, latency_of,
     if any(fu_limits[c] < 1 for c in table):
         raise HlsError("every used category needs at least one FU")
 
-    alap = alap_schedule(dfg, latency_of)
-    priority = alap.start  # smaller ALAP start = more urgent
+    ops = dfg.ops
     succs = dfg.successor_map()
-
-    start: dict[int, int] = {}
-    finished: dict[int, int] = {}
+    priority = _alap_priority(dfg, table, succs)
     # distinct inputs: a repeated input is one predecessor, and the
     # successor map lists its consumer once
-    remaining = {uid: len(set(op.inputs)) for uid, op in dfg.ops.items()}
-    ready = sorted([uid for uid, k in remaining.items() if k == 0],
-                   key=lambda u: (priority[u], u))
-    busy_until: dict[str, list[int]] = {
-        cat: [0] * fu_limits[cat] for cat in table}
+    pending = {uid: len(set(op.inputs)) for uid, op in ops.items()}
+    data_ready = dict.fromkeys(ops, 0)
+    # ops not yet eligible, keyed (eligible step, priority, uid)
+    waiting = [(0, priority[uid], uid) for uid, k in pending.items()
+               if k == 0]
+    heapq.heapify(waiting)
+    # per category: eligible ops keyed (priority, uid); FU free times
+    ready: dict[str, list[tuple[int, int]]] = {cat: [] for cat in table}
+    free_at = {cat: [0] * fu_limits[cat] for cat in table}
 
+    start: dict[int, int] = {}
     step = 0
-    pending = dict(remaining)
-    guard = 0
-    while ready or len(finished) < len(dfg.ops):
-        guard += 1
-        if guard > 10 * (len(dfg.ops) + 1) * (max(table.values(), default=1) + 1):
-            raise HlsError("list scheduler failed to make progress")
-        progressed = False
-        for uid in list(ready):
-            op = dfg.ops[uid]
-            data_ready = max((finished[d] for d in op.inputs), default=0)
-            if data_ready > step:
-                continue
-            pool = busy_until[op.category]
-            fu = min(range(len(pool)), key=lambda i: pool[i])
-            if pool[fu] > step:
-                continue
-            start[uid] = step
-            finished[uid] = step + table[op.category]
-            pool[fu] = finished[uid]
-            ready.remove(uid)
-            for succ in succs[uid]:
-                pending[succ] -= 1
-                if pending[succ] == 0:
-                    ready.append(succ)
-            ready.sort(key=lambda u: (priority[u], u))
-            progressed = True
-        step += 1
-        if not progressed and not ready and len(finished) < len(dfg.ops):
-            continue
-    return HlsSchedule(dfg, start, table)
+    while True:
+        while waiting and waiting[0][0] <= step:
+            _, prio, uid = heapq.heappop(waiting)
+            heapq.heappush(ready[ops[uid].category], (prio, uid))
+        next_step = waiting[0][0] if waiting else None
+        for cat, queue in ready.items():
+            pool = free_at[cat]
+            lat = table[cat]
+            while queue and pool[0] <= step:
+                _, uid = heapq.heappop(queue)
+                start[uid] = step
+                done = step + lat
+                heapq.heapreplace(pool, done)
+                for succ in succs[uid]:
+                    if done > data_ready[succ]:
+                        data_ready[succ] = done
+                    pending[succ] -= 1
+                    if pending[succ] == 0:
+                        eligible = max(data_ready[succ], step + 1)
+                        heapq.heappush(waiting,
+                                       (eligible, priority[succ], succ))
+                        if next_step is None or eligible < next_step:
+                            next_step = eligible
+            if queue and (next_step is None or pool[0] < next_step):
+                next_step = pool[0]
+        if next_step is None:
+            break
+        step = next_step
+    if len(start) != len(ops):
+        raise HlsError("list scheduler failed to make progress")
+    # insertion order = the order a cycle-by-cycle scan places ops in:
+    # by step, then by urgency across categories
+    order = sorted(start, key=lambda u: (start[u], priority[u], u))
+    return HlsSchedule(dfg, {uid: start[uid] for uid in order}, table)
 
 
 def force_directed_schedule(dfg: Dfg, latency_of,

@@ -7,55 +7,67 @@ read burst for the consumer side), and the bus carries one burst at a
 time.  Priorities are critical-path lengths, so the scheduler is the
 classic latency-weighted list scheduler of the HLS literature applied at
 task granularity.
+
+The partitioners schedule one graph under many trial mappings, so the
+kernel reads the cost model's compiled tables
+(:meth:`repro.estimate.CostModel.schedule_tables`: topological order,
+per-node latency per resource, in-edges with their burst lengths,
+out-edges with their transfer times) instead of querying the model per
+node and edge.  Each call then:
+
+* computes every priority (the critical path to a sink, transfer time
+  included on cut edges) in one reverse pass over the topological order;
+* pops ready nodes from a heap keyed ``(-priority, name)``: names are
+  unique, so the key is a total order and the pop order is fixed;
+* keeps every timeline as parallel sorted start/end lists.  Each
+  interval is booked into a gap the scan found free, so intervals never
+  overlap and their ends ascend with their starts: a ``bisect`` on the
+  ends skips exactly the intervals a scan from the front would have
+  passed over, and the scan stops where the new interval belongs;
+* adds entries and transfers to the :class:`Schedule` in the order it
+  places them (the fingerprint hashes the transfer list in that order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from heapq import heapify, heappop, heappush
 
 from ..estimate.model import CostModel
 from ..graph.partition import Partition
-from .asap_alap import _edge_delay, _latency  # shared cost helpers
 from .schedule import Schedule, ScheduleEntry, ScheduleError, TransferEntry
 
 __all__ = ["list_schedule"]
 
 
-@dataclass
 class _Timeline:
-    """Busy intervals of one exclusive resource, kept sorted."""
+    """Busy intervals of one exclusive resource, as sorted start/end lists."""
 
-    busy: list[tuple[int, int]] = field(default_factory=list)
+    __slots__ = ("starts", "ends")
 
-    def earliest_slot(self, after: int, duration: int) -> int:
-        """First start >= after such that [start, start+duration) is free."""
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+
+    def book(self, after: int, duration: int) -> int:
+        """Reserve the first free [start, start+duration) with start >= after.
+
+        Returns ``start``.  The scan stops at the first interval that
+        starts after the slot, which is where the slot is inserted.
+        """
+        starts, ends = self.starts, self.ends
         start = after
-        for b_start, b_end in self.busy:
-            if b_end <= start:
-                continue
-            if b_start >= start + duration:
-                break
-            start = b_end
+        # intervals ending at or before ``after`` cannot collide
+        k = bisect_right(ends, after)
+        while k < len(ends):
+            if ends[k] > start:
+                if starts[k] >= start + duration:
+                    break
+                start = ends[k]
+            k += 1
+        starts.insert(k, start)
+        ends.insert(k, start + duration)
         return start
-
-    def reserve(self, start: int, duration: int) -> None:
-        self.busy.append((start, start + duration))
-        self.busy.sort()
-
-
-def _priorities(partition: Partition, model: CostModel) -> dict[str, int]:
-    """Critical-path-to-sink length of every node (higher = schedule first)."""
-    graph = partition.graph
-    prio: dict[str, int] = {}
-    for name in reversed(graph.topological_order()):
-        lat = _latency(model, partition, name)
-        downstream = 0
-        for edge in graph.out_edges(name):
-            downstream = max(downstream,
-                             _edge_delay(model, partition, edge)
-                             + prio[edge.dst])
-        prio[name] = lat + downstream
-    return prio
 
 
 def list_schedule(partition: Partition, model: CostModel) -> Schedule:
@@ -69,58 +81,74 @@ def list_schedule(partition: Partition, model: CostModel) -> Schedule:
     if model.graph is not graph:
         raise ScheduleError("cost model was built for a different graph")
 
-    prio = _priorities(partition, model)
+    tables = model.schedule_tables()
+    names = tables.names
+    count = len(names)
+    resource = [""] * count
+    latency = [0] * count
+    prio = [0] * count
+    for i in reversed(range(count)):
+        name = names[i]
+        res = resource[i] = partition.resource_of(name)
+        lat = tables.latency[i].get(res)
+        if lat is None:  # no table entry: let the model raise or answer
+            lat = model.latency(name, res)
+        latency[i] = lat
+        downstream = 0
+        for dst, transfer in tables.out_edges[i]:
+            delay = prio[dst] if resource[dst] == res \
+                else transfer + prio[dst]
+            if delay > downstream:
+                downstream = delay
+        prio[i] = lat + downstream
+
+    in_edges = tables.in_edges
+    remaining = [len(edges) for edges in in_edges]
+    ready = [(-prio[i], names[i], i) for i in range(count)
+             if not remaining[i]]
+    heapify(ready)
     schedule = Schedule(partition)
+    end = [0] * count
     timelines: dict[str, _Timeline] = {}
     bus = _Timeline()
 
-    def timeline(resource: str) -> _Timeline:
-        if resource not in timelines:
-            timelines[resource] = _Timeline()
-        return timelines[resource]
-
-    remaining_preds = {n: len(graph.in_edges(n)) for n in graph.node_names}
-    ready = [n for n, k in remaining_preds.items() if k == 0]
-
     while ready:
-        ready.sort(key=lambda n: (-prio[n], n))
-        node = ready.pop(0)
-        resource = partition.resource_of(node)
-        latency = _latency(model, partition, node)
+        _, node, i = heappop(ready)
+        res = resource[i]
 
         earliest = 0
         pending_reads: list[tuple[str, int, int]] = []  # (edge, write_end, read_ticks)
-        for edge in graph.in_edges(node):
-            producer = schedule.entry(edge.src)
-            if partition.resource_of(edge.src) == resource:
-                earliest = max(earliest, producer.end)
+        for src, edge_name, write_ticks, read_ticks in in_edges[i]:
+            if resource[src] == res:
+                if end[src] > earliest:
+                    earliest = end[src]
                 continue
             # cut edge: write burst after the producer finished ...
-            write_ticks = model.write_ticks(edge)
-            write_start = bus.earliest_slot(producer.end, write_ticks)
-            bus.reserve(write_start, write_ticks)
+            write_start = bus.book(end[src], write_ticks)
             schedule.add_transfer(TransferEntry(
-                edge.name, "write", write_start, write_start + write_ticks))
+                edge_name, "write", write_start, write_start + write_ticks))
             # ... then a read burst for this consumer
-            pending_reads.append((edge.name, write_start + write_ticks,
-                                  model.read_ticks(edge)))
+            pending_reads.append((edge_name, write_start + write_ticks,
+                                  read_ticks))
 
         for edge_name, write_end, read_ticks in pending_reads:
-            read_start = bus.earliest_slot(write_end, read_ticks)
-            bus.reserve(read_start, read_ticks)
+            read_start = bus.book(write_end, read_ticks)
             schedule.add_transfer(TransferEntry(
                 edge_name, "read", read_start, read_start + read_ticks))
             earliest = max(earliest, read_start + read_ticks)
 
-        line = timeline(resource)
-        start = line.earliest_slot(earliest, latency)
-        line.reserve(start, latency)
-        schedule.add(ScheduleEntry(node, resource, start, start + latency))
+        line = timelines.get(res)
+        if line is None:
+            line = timelines[res] = _Timeline()
+        lat = latency[i]
+        start = line.book(earliest, lat)
+        schedule.add(ScheduleEntry(node, res, start, start + lat))
+        end[i] = start + lat
 
-        for edge in graph.out_edges(node):
-            remaining_preds[edge.dst] -= 1
-            if remaining_preds[edge.dst] == 0:
-                ready.append(edge.dst)
+        for dst, _ in tables.out_edges[i]:
+            remaining[dst] -= 1
+            if remaining[dst] == 0:
+                heappush(ready, (-prio[dst], names[dst], dst))
 
     if len(schedule.entries) != len(graph.node_names):
         missing = set(graph.node_names) - set(schedule.entries)

@@ -363,6 +363,36 @@ print(json.dumps(canonical_trace(tracer.spans())))
         assert "flow" in names
 
 
+class TestFlowSpanAttributes:
+    def _flow_span(self, partitioner):
+        from repro.apps import four_band_equalizer
+        from repro.flow import CoolFlow
+        from repro.platform import minimal_board
+
+        tracer = Tracer()
+        with activate(tracer):
+            result = CoolFlow(minimal_board(), partitioner=partitioner).run(
+                four_band_equalizer(words=8))
+        (flow,) = [s for s in tracer.spans() if s.kind == "flow"]
+        return flow, result
+
+    def test_partition_trials_from_partitioner_evaluations(self):
+        from repro.partition import GreedyPartitioner
+
+        flow, result = self._flow_span(GreedyPartitioner())
+        trials = result.partition_result.stats["evaluations"]
+        assert trials > 1
+        assert flow.attributes["partition_trials"] == trials
+
+    def test_no_partition_trials_without_evaluations_stat(self):
+        from repro.partition import MilpPartitioner
+
+        flow, result = self._flow_span(MilpPartitioner())
+        assert "evaluations" not in result.partition_result.stats
+        assert "partition_trials" not in flow.attributes
+        assert flow.attributes["stages_run"] > 0
+
+
 class TestObs501Rule:
     """OBS501: no tracing API inside fingerprint-reachable code."""
 

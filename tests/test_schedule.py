@@ -146,20 +146,25 @@ class TestListScheduler:
         assert "dsp0" in chart and "bus" in chart
 
 
+def random_partition(n, seed, pseed, arch):
+    """``random_task_graph(n, seed)`` with every internal node mapped to
+    a resource drawn by ``random.Random(pseed)``, plus its cost model."""
+    graph = random_task_graph(n, seed=seed)
+    rng = random.Random(pseed)
+    mapping = {node.name: rng.choice(arch.resource_names)
+               for node in graph.internal_nodes()}
+    partition = from_mapping(graph, mapping, arch.fpga_names,
+                             arch.processor_names)
+    return partition, CostModel(graph, arch)
+
+
 class TestSchedulePropertyBased:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=8, max_value=40),
            st.integers(min_value=0, max_value=999),
            st.integers(min_value=0, max_value=999))
     def test_random_graph_random_partition_valid(self, n, seed, pseed):
-        graph = random_task_graph(n, seed=seed)
-        arch = cool_board()
-        rng = random.Random(pseed)
-        mapping = {node.name: rng.choice(arch.resource_names)
-                   for node in graph.internal_nodes()}
-        partition = from_mapping(graph, mapping, arch.fpga_names,
-                                 arch.processor_names)
-        model = CostModel(graph, arch)
+        partition, model = random_partition(n, seed, pseed, cool_board())
         schedule = list_schedule(partition, model)
         assert validate_schedule(schedule) == []
 
